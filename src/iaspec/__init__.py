@@ -42,23 +42,20 @@ from .pulse import (
     apply_bandwidth_filter,
     build_edge_waveform,
     build_sequence_waveform,
-    corrected_ramp,
     edge_duration_for_prior,
     edge_infidelity,
+    edge_shape,
     filter_signal,
     optimize_correction,
     plan_edge_steps,
-    soft_ramp,
-    trailing_edge,
 )
 from .dynamics import (
     ModeState,
     RingdownRecord,
     SystemParams,
-    TrajectoryRecord,
+    crossing_rotation,
     edge_propagator,
     evolve,
-    evolve_trajectory,
     free_evolution,
     simulate_ringdown,
 )
@@ -67,7 +64,6 @@ from .ramsey import (
     RamseyTrace,
     SequenceDesign,
     acquire_trace,
-    run_sequence,
     visibility,
 )
 from .estimator import (

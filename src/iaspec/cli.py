@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .errors import (
     IasRunError,
     NoPeakError,
 )
-from .estimator import estimate_frequency, fringe_sweep, ias_run
+from .estimator import fringe_sweep, ias_run
 from .model import SpectroscopyData, fit_avoided_crossing
 from .pulse import build_sequence_waveform, apply_bandwidth_filter
 from .scenario import Scenario, load_scenario
@@ -307,10 +308,8 @@ def cmd_show_pulse(args) -> int:
                 "trail": {"c": trail.c, "d": trail.d, "infidelity": trail.infidelity,
                           "soft_infidelity": trail.soft_infidelity},
             }
-        ramp = design.ramp_for(scenario.prior, lead, trail)
-        if kind == "soft":
-            ramp = ramp if design.kind == "soft" else _soft_copy(ramp)
-        shaped = ramp.with_wait(wait)
+        # kind "soft" on a corrected design: the uncorrected ramp, relabelled
+        shaped = replace(design.ramp_for(scenario.prior, lead, trail), kind=kind).with_wait(wait)
         sample_period = shaped.edge_duration / 2000.0
         waveform = build_sequence_waveform(
             shaped, design.tuning, sample_period, margin=0.25 * shaped.edge_duration
@@ -335,12 +334,6 @@ def cmd_show_pulse(args) -> int:
     emission.write_manifest(scenario.name, _sha256(Path(args.scenario)), seed)
     print(f"wrote waveforms for {scenario.name} to {emission.out_dir}")
     return 0
-
-
-def _soft_copy(ramp):
-    from dataclasses import replace
-
-    return replace(ramp, c=0.0, d=0.0, c_trail=0.0, d_trail=0.0, kind="soft")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -12,10 +12,8 @@ ringdown readout have closed forms.
 """
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -192,103 +190,35 @@ def evolve(state: ModeState, waveform: PulseWaveform, params: SystemParams) -> M
     return ModeState(complex(a[0]), complex(a[1]))
 
 
-@dataclass
-class TrajectoryRecord:
-    """Sampled populations and coherence along one edge integration."""
-
-    time: np.ndarray
-    population_oop: np.ndarray
-    population_ip: np.ndarray
-    coherence_re: np.ndarray
-    coherence_im: np.ndarray
-    final_state: ModeState = field(repr=False, default=None)
-
-    def to_csv(self, path) -> None:
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time_s", "p_oop", "p_ip", "coherence_re", "coherence_im"])
-            rows = zip(
-                self.time,
-                self.population_oop,
-                self.population_ip,
-                self.coherence_re,
-                self.coherence_im,
-            )
-            for t, po, pi_, cr, ci in rows:
-                writer.writerow([f"{t:.12g}", f"{po:.12g}", f"{pi_:.12g}", f"{cr:.12g}", f"{ci:.12g}"])
-
-
-def evolve_trajectory(
-    state: ModeState, waveform: PulseWaveform, params: SystemParams, stride: int = 1
-) -> TrajectoryRecord:
-    """Plain sequential RK4 loop recording every `stride`-th step.
-
-    Slower than `evolve` but independent of the batched propagator
-    construction; used for debugging dumps and as a cross-check.
-    """
-    dt = _validate_step(waveform, params)
-    delta = waveform.detuning
-    gamma = params.gamma
-    omega0 = params.omega0_true
-
-    def deriv(idx, vec):
-        d = delta[idx]
-        return np.array(
-            [
-                (-0.5j * d - 0.5 * gamma) * vec[0] - 0.5j * omega0 * vec[1],
-                (+0.5j * d - 0.5 * gamma) * vec[1] - 0.5j * omega0 * vec[0],
-            ]
-        )
-
-    a = state.vector()
-    n_steps = (len(waveform.time) - 1) // 2
-    times = [waveform.time[0]]
-    samples = [a.copy()]
-    for k in range(n_steps):
-        i0 = 2 * k
-        k1 = deriv(i0, a)
-        k2 = deriv(i0 + 1, a + 0.5 * dt * k1)
-        k3 = deriv(i0 + 1, a + 0.5 * dt * k2)
-        k4 = deriv(i0 + 2, a + dt * k3)
-        a = a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (k + 1) % stride == 0 or k == n_steps - 1:
-            times.append(waveform.time[i0 + 2])
-            samples.append(a.copy())
-    arr = np.array(samples)
-    coherence = arr[:, 0] * np.conj(arr[:, 1])
-    return TrajectoryRecord(
-        time=np.array(times),
-        population_oop=np.abs(arr[:, 0]) ** 2,
-        population_ip=np.abs(arr[:, 1]) ** 2,
-        coherence_re=coherence.real,
-        coherence_im=coherence.imag,
-        final_state=ModeState(complex(arr[-1, 0]), complex(arr[-1, 1])),
-    )
-
-
-def free_evolution(
-    state: ModeState, t_w: float, params: SystemParams, rng: np.random.Generator | None = None
-) -> ModeState:
-    """Wait at the crossing (Delta = 0) for t_w seconds.
+def crossing_rotation(
+    a: np.ndarray, t_w: float, params: SystemParams, rng: np.random.Generator | None = None
+) -> np.ndarray:
+    """Amplitude vector after waiting t_w seconds at the crossing (Delta = 0).
 
     The exchange rotation around the normal-mode axis has the closed form
     exp(-i chi/2 sigma_x) with chi = omega0 t_w; amplitudes damp by
     exp(-gamma t_w / 2). Dephasing between the normal modes is modeled as a
     Gaussian random phase kick on chi with variance 2 t_w / T_d per shot,
     whose ensemble average reproduces the exp(-t_w/T_d) coherence decay.
-    Deterministic callers (rng None) get the kick-free rotation.
+    The kick is drawn only for t_w > 0 and a finite T_d; deterministic
+    callers (rng None) get the kick-free rotation.
     """
     if t_w < 0.0:
         raise DomainError("wait time must be non-negative")
     chi = params.omega0_true * t_w
-    if rng is not None and math.isfinite(params.dephasing_time):
+    if rng is not None and math.isfinite(params.dephasing_time) and t_w > 0.0:
         chi += rng.normal(0.0, math.sqrt(2.0 * t_w / params.dephasing_time))
     damp = math.exp(-0.5 * params.gamma * t_w)
     cos, sin = math.cos(0.5 * chi), math.sin(0.5 * chi)
-    a_oop = damp * (cos * state.a_oop - 1.0j * sin * state.a_ip)
-    a_ip = damp * (cos * state.a_ip - 1.0j * sin * state.a_oop)
-    return ModeState(a_oop, a_ip)
+    return damp * np.array([cos * a[0] - 1.0j * sin * a[1], cos * a[1] - 1.0j * sin * a[0]])
+
+
+def free_evolution(
+    state: ModeState, t_w: float, params: SystemParams, rng: np.random.Generator | None = None
+) -> ModeState:
+    """Wait at the crossing for t_w seconds; see `crossing_rotation`."""
+    a = crossing_rotation(state.vector(), t_w, params, rng)
+    return ModeState(complex(a[0]), complex(a[1]))
 
 
 @dataclass
@@ -307,14 +237,6 @@ class RingdownRecord:
     fitted_tau: float
     n_used: int
     start_time: float
-
-    def to_csv(self, path) -> None:
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time_s", "signal"])
-            for t, s in zip(self.time, self.signal):
-                writer.writerow([f"{t:.12g}", f"{s:.12g}"])
 
 
 def simulate_ringdown(

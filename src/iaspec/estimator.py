@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, IasRunError, NoPeakError
-from .ramsey import RamseyConfig, RamseyTrace, SequenceDesign, acquire_trace
+from .ramsey import RamseyTrace, SequenceDesign, acquire_trace
 
 TWO_PI = 2.0 * math.pi
 

@@ -8,10 +8,9 @@ of the toolkit estimates.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -270,16 +269,6 @@ class FitReport:
     n_iterations: int
     converged: bool
     assignments: list[str]
-
-    def to_json(self) -> str:
-        payload = {
-            "residual_rms_Hz": self.residual_rms_hz,
-            "stderr": self.stderr,
-            "n_points": self.n_points,
-            "n_iterations": self.n_iterations,
-            "converged": self.converged,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
 
 
 _PARAM_NAMES = (

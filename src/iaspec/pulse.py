@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.signal import lfilter
 
 from .errors import ConfigurationError, DomainError
 from .model import TuningModel
@@ -81,17 +80,23 @@ class RampSpec:
     def edge_duration(self) -> float:
         return self.ts - self.t0
 
-    @property
-    def wait_duration(self) -> float:
-        return self.tf - self.ts
+    def edge_span(self, edge: str) -> tuple[float, float, float, float]:
+        """(start time, end time, start voltage, end voltage) of one edge."""
+        if edge == "leading":
+            return self.t0, self.ts, self.u_initial, self.u_final
+        if edge == "trailing":
+            return self.tf, self.tr, self.u_final, self.u_readout
+        raise ConfigurationError(f"edge must be 'leading' or 'trailing', got {edge!r}")
 
-    @property
-    def delta_u(self) -> float:
-        return self.u_final - self.u_initial
+    def edge_coefficients(self, edge: str) -> tuple[float, float]:
+        """Correction pair (c, d) that shapes one edge.
 
-    @property
-    def delta_u_bar(self) -> float:
-        return self.u_final - self.u_readout
+        Only a corrected ramp uses its own coefficients; soft and ideal
+        ramps shape with zero coefficients.
+        """
+        if self.kind != "corrected":
+            return 0.0, 0.0
+        return (self.c, self.d) if edge == "leading" else (self.c_trail, self.d_trail)
 
     def with_wait(self, t_w: float) -> "RampSpec":
         """Same pulse with the plateau stretched to wait time t_w >= 0."""
@@ -114,54 +119,27 @@ def edge_duration_for_prior(prior: float) -> float:
     return TWO_PI / prior
 
 
-def _lead_phase(spec: RampSpec, t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if np.any(t < spec.t0 - _EDGE_TOL) or np.any(t > spec.ts + _EDGE_TOL):
-        raise DomainError("time outside the leading edge [t0, ts]")
-    return np.clip((t - spec.t0) / spec.edge_duration, 0.0, 1.0)
+def edge_shape(x, c: float = 0.0, d: float = 0.0):
+    """Normalized edge shape at edge phase x in [0, 1].
 
-
-def soft_ramp(spec: RampSpec, t):
-    """Soft leading-edge shape g(t) = (1 - cos(pi (t-t0)/(ts-t0))) / 2."""
-    x = _lead_phase(spec, t)
-    g = 0.5 * (1.0 - np.cos(math.pi * x))
-    return float(g) if np.isscalar(t) else g
-
-
-def corrected_ramp(spec: RampSpec, t):
-    """Leading edge with the first-harmonic correction added.
-
-    g(t) = g_soft(t) + c (1 - cos(2 pi x)) + d sin(2 pi x), x = (t-t0)/(ts-t0).
-    Both correction terms vanish at the endpoints, so the plateau levels are
-    unchanged for any (c, d).
+    g(x) = (1 - cos(pi x)) / 2 + c (1 - cos(2 pi x)) + d sin(2 pi x): a soft
+    half-cosine plus the first-harmonic correction (c, d). Both correction
+    terms vanish at x = 0 and x = 1, so g runs 0 -> 1 for any (c, d) and the
+    plateau levels never move.
     """
-    x = _lead_phase(spec, t)
-    g = (
+    x = np.asarray(x, dtype=float)
+    return (
         0.5 * (1.0 - np.cos(math.pi * x))
-        + spec.c * (1.0 - np.cos(TWO_PI * x))
-        + spec.d * np.sin(TWO_PI * x)
+        + c * (1.0 - np.cos(TWO_PI * x))
+        + d * np.sin(TWO_PI * x)
     )
-    return float(g) if np.isscalar(t) else g
 
 
-def trailing_edge(spec: RampSpec, t):
-    """Trailing-edge shape g(t) on [tf, tr], rising 0 -> 1 as U drops to u_readout.
-
-    The soft part mirrors the leading edge in time (g = 1 - g_lead at the
-    mirrored instant t0 + tr - t), which by plateau continuity gives g(tf)=0
-    and g(tr)=1; the independent correction pair (c_trail, d_trail) again
-    vanishes at both ends.
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < spec.tf - _EDGE_TOL) or np.any(t > spec.tr + _EDGE_TOL):
-        raise DomainError("time outside the trailing edge [tf, tr]")
-    x = np.clip((t - spec.tf) / (spec.tr - spec.tf), 0.0, 1.0)
-    g = (
-        0.5 * (1.0 - np.cos(math.pi * x))
-        + spec.c_trail * (1.0 - np.cos(TWO_PI * x))
-        + spec.d_trail * np.sin(TWO_PI * x)
-    )
-    return float(g) if np.isscalar(t) else g
+def _edge_voltage(spec: RampSpec, edge: str, t) -> np.ndarray:
+    """Shaped voltage of one edge at times t, clamped to the edge's span."""
+    start, end, u_start, u_end = spec.edge_span(edge)
+    x = np.clip((t - start) / (end - start), 0.0, 1.0)
+    return u_start + (u_end - u_start) * edge_shape(x, *spec.edge_coefficients(edge))
 
 
 @dataclass
@@ -197,8 +175,12 @@ class PulseWaveform:
                 writer.writerow([f"{t:.12g}", f"{u:.12g}", f"{dl:.12g}"])
 
 
-def _edge_samples(spec: RampSpec, edge: str, n_steps: int):
-    """Times and shape values of one edge at 2*n_steps+1 uniform samples."""
+def build_edge_waveform(spec: RampSpec, tuning: TuningModel, edge: str, n_steps: int) -> PulseWaveform:
+    """Sample one edge at 2*n_steps+1 points (integration midpoints included).
+
+    The voltage follows the ramp shape; the detuning is the tuning model
+    evaluated along it.
+    """
     if spec.kind == "ideal":
         raise ConfigurationError("an ideal edge has no waveform")
     if n_steps < 1:
@@ -208,34 +190,13 @@ def _edge_samples(spec: RampSpec, edge: str, n_steps: int):
     # per edge keeps the sample rate at 50x that harmonic.
     if n_samples - 1 < MIN_SAMPLES_PER_HARMONIC:
         raise ConfigurationError("waveform sample rate below 50x the correction harmonic")
-    if edge == "leading":
-        t = np.linspace(spec.t0, spec.ts, n_samples)
-        g = corrected_ramp(spec, t) if spec.kind == "corrected" else soft_ramp(spec, t)
-        u = spec.u_initial + spec.delta_u * g
-        # Trig at the endpoints is analytically exact; remove rounding so the
-        # plateau-match invariant holds bit-for-bit.
-        u[0], u[-1] = spec.u_initial, spec.u_final
-    elif edge == "trailing":
-        t = np.linspace(spec.tf, spec.tr, n_samples)
-        g = trailing_edge(spec, t) if spec.kind == "corrected" else trailing_edge(
-            replace(spec, c_trail=0.0, d_trail=0.0), t
-        )
-        u = spec.u_final - spec.delta_u_bar * g
-        u[0], u[-1] = spec.u_final, spec.u_readout
-    else:
-        raise ConfigurationError(f"edge must be 'leading' or 'trailing', got {edge!r}")
-    return t, u
-
-
-def build_edge_waveform(spec: RampSpec, tuning: TuningModel, edge: str, n_steps: int) -> PulseWaveform:
-    """Sample one edge at 2*n_steps+1 points (integration midpoints included).
-
-    The voltage follows the ramp shape; the detuning is the tuning model
-    evaluated along it.
-    """
-    t, u = _edge_samples(spec, edge, n_steps)
-    detuning = tuning.detuning(u)
-    return PulseWaveform(t, u, detuning, sample_period=float(t[1] - t[0]))
+    start, end, u_start, u_end = spec.edge_span(edge)
+    t = np.linspace(start, end, n_samples)
+    u = _edge_voltage(spec, edge, t)
+    # Trig at the endpoints is analytically exact; remove rounding so the
+    # plateau-match invariant holds bit-for-bit.
+    u[0], u[-1] = u_start, u_end
+    return PulseWaveform(t, u, tuning.detuning(u), sample_period=float(t[1] - t[0]))
 
 
 def plan_edge_steps(
@@ -266,22 +227,16 @@ def build_sequence_waveform(
     if sample_period <= 0.0:
         raise ConfigurationError("sample period must be positive")
     t = np.arange(spec.t0 - margin, spec.tr + margin + 0.5 * sample_period, sample_period)
-    shaped = spec if spec.kind == "corrected" else replace(
-        spec, c=0.0, d=0.0, c_trail=0.0, d_trail=0.0, kind="soft"
+    u = np.select(
+        [t <= spec.t0, t < spec.ts, t <= spec.tf, t < spec.tr],
+        [
+            spec.u_initial,
+            _edge_voltage(spec, "leading", t),
+            spec.u_final,
+            _edge_voltage(spec, "trailing", t),
+        ],
+        spec.u_readout,
     )
-    u = np.empty_like(t)
-    for i, ti in enumerate(t):
-        if ti <= spec.t0:
-            u[i] = spec.u_initial
-        elif ti < spec.ts:
-            g = corrected_ramp(shaped, ti) if spec.kind == "corrected" else soft_ramp(shaped, ti)
-            u[i] = spec.u_initial + spec.delta_u * g
-        elif ti <= spec.tf:
-            u[i] = spec.u_final
-        elif ti < spec.tr:
-            u[i] = spec.u_final - spec.delta_u_bar * trailing_edge(shaped, ti)
-        else:
-            u[i] = spec.u_readout
     return PulseWaveform(t, u, tuning.detuning(u), sample_period=sample_period)
 
 
@@ -315,6 +270,8 @@ def filter_signal(values, sample_period: float, filt: FilterModel) -> np.ndarray
     The filter starts in steady state with the first sample, so a constant
     input maps to gain*input exactly from sample 0. Linear by construction.
     """
+    from scipy.signal import lfilter
+
     x = np.asarray(values, dtype=float)
     alpha = 1.0 - math.exp(-TWO_PI * filt.corner_hz * sample_period)
     g = filt.passband_gain
@@ -366,6 +323,8 @@ def edge_infidelity(
     """
     from . import dynamics
 
+    # step count planned per call: large correction harmonics raise the peak
+    # detuning and with it the integration-rate floor
     n_steps = plan_edge_steps(spec, tuning, system.omega0_true, steps_per_period)
     waveform = build_edge_waveform(spec, tuning, edge, n_steps)
     lossless = replace(system, gamma=0.0)
@@ -393,10 +352,7 @@ def optimize_correction(
     pass the current prior-based parameters, not the hidden truth, to mimic
     calibrating against one's best knowledge.
     """
-    from . import dynamics
-
     base = replace(spec, kind="corrected")
-    lossless = replace(system, gamma=0.0)
 
     def infidelity(cd) -> float:
         c, d = cd
@@ -406,12 +362,7 @@ def optimize_correction(
             trial = replace(base, c=c, d=d)
         else:
             trial = replace(base, c_trail=c, d_trail=d)
-        # step count re-planned per candidate: large harmonics raise the
-        # peak detuning and with it the integration-rate floor
-        n_steps = plan_edge_steps(trial, tuning, system.omega0_true, steps_per_period)
-        waveform = build_edge_waveform(trial, tuning, edge, n_steps)
-        kmat = dynamics.edge_propagator(waveform, lossless)
-        return float(1.0 - abs(kmat[1, 1]) ** 2)
+        return edge_infidelity(system, trial, tuning, edge, steps_per_period)
 
     grid = np.linspace(-CORRECTION_BOUND, CORRECTION_BOUND, grid_points)
     if 0.0 not in grid:

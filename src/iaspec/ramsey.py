@@ -21,7 +21,6 @@ from . import dynamics, pulse
 from .dynamics import ModeState, SystemParams
 from .errors import (
     ConfigurationError,
-    DomainError,
     ReadoutError,
     TraceError,
     UndefinedVisibilityError,
@@ -146,18 +145,7 @@ def _measure_points(config: RamseyConfig, t_w_values: np.ndarray, seed: int) -> 
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=seed, spawn_key=(i, r))
             )
-            chi = params.omega0_true * t_w
-            if math.isfinite(params.dephasing_time) and t_w > 0.0:
-                chi += rng.normal(0.0, math.sqrt(2.0 * t_w / params.dephasing_time))
-            damp = math.exp(-0.5 * params.gamma * t_w)
-            cos, sin = math.cos(0.5 * chi), math.sin(0.5 * chi)
-            mid = damp * np.array(
-                [
-                    cos * a_cross[0] - 1.0j * sin * a_cross[1],
-                    cos * a_cross[1] - 1.0j * sin * a_cross[0],
-                ]
-            )
-            a_fin = k_trail @ mid
+            a_fin = k_trail @ dynamics.crossing_rotation(a_cross, t_w, params, rng)
             envelope = min(abs(a_fin[1]) ** 2, 1.0)
             try:
                 record = dynamics.simulate_ringdown(
@@ -220,25 +208,6 @@ def acquire_trace(config: RamseyConfig, seed: int) -> RamseyTrace:
     return RamseyTrace(grid, p_mean, p_std, per_repeat=prob, metadata=metadata)
 
 
-def run_sequence(config: RamseyConfig, t_w: float, seed: int) -> float:
-    """Return probability of one wait time, repeats-averaged and normalized.
-
-    Shares the seed-batch convention with acquire_trace: index 0 of the
-    batch is the t_w = 0 reference, index 1 the requested point.
-    """
-    if t_w < 0.0:
-        raise DomainError("wait time must be non-negative")
-    points = np.array([0.0, t_w])
-    raw = _measure_points(config, points, seed)
-    reference = float(np.nanmean(raw[0]))
-    if not math.isfinite(reference) or reference <= 0.0:
-        raise TraceError("t_w = 0 reference point unreadable; cannot normalize")
-    value = float(np.nanmean(raw[1]))
-    if not math.isfinite(value):
-        raise ReadoutError("requested point unreadable in every repeat")
-    return float(np.clip(value / reference, 0.0, 1.0))
-
-
 def visibility(trace: RamseyTrace) -> float:
     """Robust fringe visibility (P_max - P_min) / (P_max + P_min).
 
@@ -296,6 +265,19 @@ class SequenceDesign:
             raise ConfigurationError(f"ramp kind must be one of {pulse.RAMP_KINDS}")
         if self.edge_cycles <= 0.0:
             raise ConfigurationError("edge_cycles must be positive")
+        if self.fringes < 2:
+            raise ConfigurationError("fringes must be at least 2")
+        if self.samples_per_fringe < 2:
+            raise ConfigurationError("samples_per_fringe must be at least 2")
+        if self.ringdown_samples < 4:
+            raise ConfigurationError("ringdown_samples must be at least 4")
+        if self.ringdown_duration is not None and not self.ringdown_duration > 0.0:
+            raise ConfigurationError("ringdown_duration must be positive")
+        floor = dynamics.MIN_STEPS_PER_PERIOD
+        if min(self.steps_per_period, self.optimizer_steps_per_period) < floor:
+            raise ConfigurationError(
+                f"steps_per_period and optimizer_steps_per_period must be at least {floor}"
+            )
 
     def delta0(self) -> float:
         return float(self.tuning.detuning(self.u_initial))

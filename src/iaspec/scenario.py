@@ -54,12 +54,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigurationError, DomainError
-from .estimator import ProcessingOptions
+from .estimator import MIN_FRINGES_WINDOWED, ProcessingOptions
 from .model import ModeTuning, TuningModel
 from .pulse import FilterModel
 from .ramsey import SequenceDesign
@@ -154,7 +154,6 @@ class Scenario:
     perturbation: PerturbationScenario | None = None
     telegraph: TelegraphNoise | None = None
     description: str = ""
-    raw: dict = field(default_factory=dict, repr=False)
 
     @property
     def prior_hz(self) -> float:
@@ -369,6 +368,15 @@ def parse_scenario(
 
     _ensure_empty(work, "scenario")
 
+    if (
+        kind in ("ias", "perturbation")
+        and processing.window != "none"
+        and design.fringes < MIN_FRINGES_WINDOWED
+    ):
+        raise ConfigurationError(
+            f"sequence.fringes: windowed processing needs >= {MIN_FRINGES_WINDOWED} fringes"
+        )
+
     # Force the derived configurations that a run would build, so invalid
     # combinations surface here and not mid-simulation.
     try:
@@ -392,7 +400,6 @@ def parse_scenario(
         perturbation=perturbation,
         telegraph=telegraph,
         description=description,
-        raw=dict(raw),
     )
 
 

@@ -15,13 +15,15 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.constants import e as ELEMENTARY_CHARGE
 
 from .errors import ConfigurationError, DomainError
 from .estimator import ProcessingOptions, estimate_frequency, ias_run
 from .ramsey import SequenceDesign, acquire_trace
 
 TWO_PI = 2.0 * math.pi
+
+# Elementary charge, C (exact in the SI since 2019).
+ELEMENTARY_CHARGE = 1.602176634e-19
 
 # Splitting response to volume charge density, Hz per (C/m^3).
 DEFAULT_RESPONSE_HZ_PER_DENSITY = 26.0

@@ -138,6 +138,33 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     assert main([]) == 1
 
 
+@pytest.mark.parametrize(
+    "command, edits",
+    [
+        ("run-ias", {"sequence": {"fringes": 1}}),
+        ("run-ias", {"sequence": {"fringes": 3}}),
+        ("run-ias", {"sequence": {"samples_per_fringe": 1}}),
+        ("run-ias", {"sequence": {"ringdown_samples": 2}}),
+        ("run-ias", {"sequence": {"ringdown_duration_s": -1}}),
+        ("run-ias", {"sequence": {"steps_per_period": 10}}),
+        ("run-ias", {"sequence": {"optimizer_steps_per_period": 1}}),
+        ("sense", {"kind": "perturbation", "sequence": {"fringes": 2},
+                   "perturbation": {"shift_true_hz": 3440.0}}),
+    ],
+    ids=[
+        "fringes_1", "windowed_fringes_3", "samples_per_fringe_1", "ringdown_samples_2",
+        "ringdown_duration_negative", "steps_per_period_10",
+        "optimizer_steps_per_period_1", "windowed_perturbation_fringes_2",
+    ],
+)
+def test_invalid_sequences_fail_before_running(tmp_path, capsys, command, edits):
+    scenario = write_scenario(tmp_path, **edits)
+    out = tmp_path / "out"
+    assert main([command, str(scenario), "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_spectrum_on_the_bundled_fixture(tmp_path):
     out = tmp_path / "fit"
     assert main(["fit-spectrum", str(ia.bundled_path("crossing_data.csv")),
@@ -249,6 +276,17 @@ def test_show_pulse_on_the_bundled_comparison_scenario(tmp_path):
     assert header == "time_s,voltage_V,detuning_rad_s"
     doc = json.loads((out / "pulse.json").read_text())
     assert "correction" in doc
+
+    # The soft companion of a corrected scenario is the soft scenario's pulse.
+    soft_doc = json.loads(ia.bundled_path("ramp_comparison.json").read_text())
+    soft_doc["sequence"]["ramp_kind"] = "soft"
+    soft = tmp_path / "ramp_soft.json"
+    soft.write_text(json.dumps(soft_doc))
+    out_soft = tmp_path / "pulse_soft"
+    assert main(["show-pulse", str(soft), "--out", str(out_soft)]) == 0
+    for name in ("pulse_soft.csv", "pulse_soft_filtered.csv"):
+        assert (out_soft / name).read_bytes() == (out / name).read_bytes()
+    assert json.loads((out_soft / "pulse.json").read_text())["ramp_soft"] == doc["ramp_soft"]
 
 
 def test_bundled_scenarios_all_load():

@@ -1,5 +1,6 @@
 """Two-mode propagation, free evolution, dephasing, and ringdown readout."""
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,6 +12,58 @@ from conftest import TWO_PI
 
 OMEGA0 = TWO_PI * 42650.0
 PARAMS = ia.SystemParams(omega0_true=OMEGA0, delta0=20 * OMEGA0)
+
+
+@dataclass
+class TrajectoryRecord:
+    """Sampled populations along one edge integration."""
+
+    time: np.ndarray
+    population_oop: np.ndarray
+    population_ip: np.ndarray
+    final_state: ia.ModeState
+
+
+def evolve_trajectory(
+    state: ia.ModeState, waveform: ia.PulseWaveform, params: ia.SystemParams
+) -> TrajectoryRecord:
+    """Plain sequential RK4 loop recording every step.
+
+    Independent of the batched propagator construction in `ia.evolve`,
+    against which it serves as the reference.
+    """
+    dt = 2.0 * waveform.sample_period
+    delta = waveform.detuning
+    gamma = params.gamma
+    omega0 = params.omega0_true
+
+    def deriv(idx, vec):
+        d = delta[idx]
+        return np.array(
+            [
+                (-0.5j * d - 0.5 * gamma) * vec[0] - 0.5j * omega0 * vec[1],
+                (+0.5j * d - 0.5 * gamma) * vec[1] - 0.5j * omega0 * vec[0],
+            ]
+        )
+
+    a = state.vector()
+    n_steps = (len(waveform.time) - 1) // 2
+    samples = [a.copy()]
+    for k in range(n_steps):
+        i0 = 2 * k
+        k1 = deriv(i0, a)
+        k2 = deriv(i0 + 1, a + 0.5 * dt * k1)
+        k3 = deriv(i0 + 1, a + 0.5 * dt * k2)
+        k4 = deriv(i0 + 2, a + dt * k3)
+        a = a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        samples.append(a.copy())
+    arr = np.array(samples)
+    return TrajectoryRecord(
+        time=waveform.time[::2],
+        population_oop=np.abs(arr[:, 0]) ** 2,
+        population_ip=np.abs(arr[:, 1]) ** 2,
+        final_state=ia.ModeState(complex(arr[-1, 0]), complex(arr[-1, 1])),
+    )
 
 
 def const_waveform(delta: float, duration: float, n_steps: int) -> ia.PulseWaveform:
@@ -56,7 +109,7 @@ def test_detuned_exchange_follows_the_closed_form():
     w_gen = math.hypot(delta, OMEGA0)
     duration = 3 * TWO_PI / w_gen
     wf = const_waveform(delta, duration, 1200)
-    record = ia.evolve_trajectory(ia.ModeState.in_plane(), wf, PARAMS)
+    record = evolve_trajectory(ia.ModeState.in_plane(), wf, PARAMS)
     visibility = OMEGA0**2 / w_gen**2
     expected = visibility * np.sin(0.5 * w_gen * record.time) ** 2
     assert np.max(np.abs(record.population_oop - expected)) < 1e-9
@@ -108,7 +161,7 @@ def test_undamped_evolution_preserves_the_norm():
 
 def test_damped_norm_decreases_monotonically():
     damped = ia.SystemParams(omega0_true=OMEGA0, delta0=20 * OMEGA0, gamma=800.0)
-    record = ia.evolve_trajectory(ia.ModeState.in_plane(), shaped_waveform(), damped)
+    record = evolve_trajectory(ia.ModeState.in_plane(), shaped_waveform(), damped)
     norms = np.sqrt(record.population_oop + record.population_ip)
     assert np.all(np.diff(norms) <= 1e-10)
 
@@ -131,7 +184,7 @@ def test_diagonal_phase_accumulates_the_detuning_integral():
 def test_trajectory_final_state_matches_direct_evolution():
     wf = shaped_waveform()
     direct = ia.evolve(ia.ModeState.in_plane(), wf, PARAMS).vector()
-    tracked = ia.evolve_trajectory(ia.ModeState.in_plane(), wf, PARAMS)
+    tracked = evolve_trajectory(ia.ModeState.in_plane(), wf, PARAMS)
     assert np.linalg.norm(tracked.final_state.vector() - direct) < 1e-12
 
 
@@ -141,6 +194,14 @@ def test_free_evolution_exchange_periods():
     assert overlap == pytest.approx(1.0, abs=1e-12)
     half = ia.free_evolution(ia.ModeState.in_plane(), math.pi / OMEGA0, PARAMS)
     assert half.population_oop == pytest.approx(1.0, abs=1e-12)
+
+
+def test_zero_wait_draws_no_dephasing_kick():
+    params = ia.SystemParams(omega0_true=OMEGA0, delta0=20 * OMEGA0, dephasing_time=50e-6)
+    rng = np.random.default_rng(7)
+    state = ia.free_evolution(ia.ModeState.in_plane(), 0.0, params, rng=rng)
+    assert state.population_ip == 1.0
+    assert rng.normal() == np.random.default_rng(7).normal()
 
 
 def test_dephasing_envelope_decays_at_the_stated_rate():

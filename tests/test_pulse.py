@@ -1,8 +1,11 @@
 """Ramp shapes, waveform assembly, edge corrections, and the line filter."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import iaspec as ia
 
@@ -40,36 +43,37 @@ def test_edge_duration_is_one_prior_period():
     )
 
 
-def test_soft_edge_hits_endpoints_and_is_monotone(soft_ramp_spec):
-    spec = soft_ramp_spec
-    t = np.linspace(spec.t0, spec.ts, 501)
-    g = ia.soft_ramp(spec, t)  # normalized shape: 0 at the start, 1 at the end
+def test_soft_edge_hits_endpoints_and_is_monotone():
+    g = ia.edge_shape(np.linspace(0.0, 1.0, 501))  # 0 at the start, 1 at the end
     assert g[0] == pytest.approx(0.0, abs=1e-12)
     assert g[-1] == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(g) >= -1e-12)
 
 
-def test_corrected_ramp_reduces_to_soft_at_zero_coefficients(soft_ramp_spec):
-    spec = soft_ramp_spec
-    zero = ia.RampSpec(t0=spec.t0, ts=spec.ts, tf=spec.tf, tr=spec.tr,
-                       u_initial=spec.u_initial, u_final=spec.u_final,
-                       u_readout=spec.u_readout, kind="corrected")
-    t = np.linspace(spec.t0, spec.ts, 301)
-    assert np.max(np.abs(ia.corrected_ramp(zero, t) - ia.soft_ramp(zero, t))) == 0.0
+def test_corrected_ramp_reduces_to_soft_at_zero_coefficients(soft_ramp_spec, tuning):
+    zero = replace(soft_ramp_spec, kind="corrected")
+    # A soft ramp ignores its coefficients; a corrected one uses them.
+    shaped = replace(soft_ramp_spec, c=0.3, d=-0.2, c_trail=0.1, d_trail=0.4)
+    for edge in ("leading", "trailing"):
+        soft = ia.build_edge_waveform(soft_ramp_spec, tuning, edge, 150).voltage
+        assert np.array_equal(ia.build_edge_waveform(zero, tuning, edge, 150).voltage, soft)
+        assert np.array_equal(ia.build_edge_waveform(shaped, tuning, edge, 150).voltage, soft)
+        corrected = replace(shaped, kind="corrected")
+        assert not np.array_equal(
+            ia.build_edge_waveform(corrected, tuning, edge, 150).voltage, soft
+        )
 
 
-def test_corrected_edges_pin_endpoints_for_any_coefficients(soft_ramp_spec):
-    spec = soft_ramp_spec
-    fancy = ia.RampSpec(t0=spec.t0, ts=spec.ts, tf=spec.tf, tr=spec.tr,
-                        u_initial=spec.u_initial, u_final=spec.u_final,
-                        u_readout=spec.u_readout,
-                        c=0.37, d=-0.61, c_trail=0.2, d_trail=0.9, kind="corrected")
+@given(
+    c=st.floats(-1.0, 1.0, allow_nan=False),
+    d=st.floats(-1.0, 1.0, allow_nan=False),
+)
+def test_corrected_edges_pin_endpoints_for_any_coefficients(c, d):
     # The harmonic corrections vanish at both ends, so the shape always
-    # runs exactly 0 -> 1 whatever the coefficients.
-    assert ia.corrected_ramp(fancy, fancy.t0) == pytest.approx(0.0, abs=1e-12)
-    assert ia.corrected_ramp(fancy, fancy.ts) == pytest.approx(1.0, abs=1e-12)
-    assert float(ia.trailing_edge(fancy, fancy.tf)) == pytest.approx(0.0, abs=1e-12)
-    assert float(ia.trailing_edge(fancy, fancy.tr)) == pytest.approx(1.0, abs=1e-12)
+    # runs 0 -> 1 whatever the coefficients (at x = 1 up to the rounding
+    # of sin(2 pi) in floating point).
+    assert ia.edge_shape(0.0, c, d) == 0.0
+    assert ia.edge_shape(1.0, c, d) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_edge_waveform_snaps_endpoint_voltages(soft_ramp_spec, tuning):

@@ -67,9 +67,10 @@ def test_low_prior_still_covers_the_requested_fringes(ideal_design):
     assert abs(record.frequency_hz - TRUTH_HZ) / TRUTH_HZ < 5e-3
 
 
-def test_half_period_sequence_returns_nothing(ideal_design):
-    config = ideal_design.config_for(TRUTH)
-    assert ia.run_sequence(config, t_w=math.pi / TRUTH, seed=3) < 1e-12
+def test_half_period_sequence_returns_nothing(ideal_trace):
+    # With the prior at the truth, grid index 5 of 4 x 10 samples is t_w = pi/Omega0.
+    assert ideal_trace.t_w[5] == pytest.approx(math.pi / TRUTH, rel=1e-12)
+    assert ideal_trace.p_return[5] < 1e-12
 
 
 def test_visibility_of_a_synthetic_fringe():
