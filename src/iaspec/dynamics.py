@@ -9,6 +9,10 @@ with Delta(t) the instantaneous bare-mode detuning along the voltage pulse
 and Omega0 the (true) minimal splitting. Edges are integrated with
 fixed-step classical 4th-order Runge-Kutta; the wait at the crossing and the
 ringdown readout have closed forms.
+
+The edge integrator carries each 2x2 matrix as its four entries (00, 01,
+10, 11), each an array over the steps, so the RK4 step propagators and
+their ordered product are built with elementwise arithmetic alone.
 """
 from __future__ import annotations
 
@@ -116,18 +120,6 @@ class ModeState:
         return abs(self.a_ip) ** 2
 
 
-def _drift_matrices(delta, omega0: float, gamma: float) -> np.ndarray:
-    """Stack of A(t) = -i H(t) - (gamma/2) I for each detuning sample."""
-    delta = np.asarray(delta, dtype=float)
-    n = delta.shape[0]
-    a = np.empty((n, 2, 2), dtype=complex)
-    a[:, 0, 0] = -0.5j * delta - 0.5 * gamma
-    a[:, 1, 1] = +0.5j * delta - 0.5 * gamma
-    a[:, 0, 1] = -0.5j * omega0
-    a[:, 1, 0] = -0.5j * omega0
-    return a
-
-
 def _validate_step(waveform: PulseWaveform, params: SystemParams) -> float:
     dt = 2.0 * waveform.sample_period
     w_max = math.sqrt(float(np.max(waveform.detuning**2)) + params.omega0_true**2)
@@ -142,42 +134,56 @@ def _validate_step(waveform: PulseWaveform, params: SystemParams) -> float:
     return dt
 
 
-def _step_propagators(waveform: PulseWaveform, params: SystemParams) -> np.ndarray:
+def _product(x, y):
+    """Entries (00, 01, 10, 11) of the 2x2 product x @ y, elementwise over arrays."""
+    x00, x01, x10, x11 = x
+    y00, y01, y10, y11 = y
+    return (x00 * y00 + x01 * y10, x00 * y01 + x01 * y11,
+            x10 * y00 + x11 * y10, x10 * y01 + x11 * y11)
+
+
+def _step_propagators(waveform: PulseWaveform, params: SystemParams):
     """Per-step RK4 propagators R_k over pairs of waveform samples.
 
     For the linear system da/dt = A(t) a the classical RK4 update is itself
     a matrix polynomial in A evaluated at the step start, midpoint and end,
-    so applying R_k to the state is bit-for-bit the RK4 state update.
+    so applying R_k to the state is the RK4 state update. With A(t) =
+    [[p, q], [q, s]], p, s = -/+ 0.5j Delta - gamma/2 per sample and the
+    scalar q = -0.5j Omega0, R_k is built entry by entry; returns the
+    entries (r00, r01, r10, r11), each an array over the steps.
     """
     dt = _validate_step(waveform, params)
-    a_all = _drift_matrices(waveform.detuning, params.omega0_true, params.gamma)
-    a0 = a_all[0:-1:2]
-    am = a_all[1::2]
-    a1 = a_all[2::2]
-    eye = np.eye(2, dtype=complex)
-    m1 = a0
-    m2 = am @ (eye + (0.5 * dt) * m1)
-    m3 = am @ (eye + (0.5 * dt) * m2)
-    m4 = a1 @ (eye + dt * m3)
-    return eye + (dt / 6.0) * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
+    p = -0.5j * waveform.detuning - 0.5 * params.gamma
+    s = +0.5j * waveform.detuning - 0.5 * params.gamma
+    q = -0.5j * params.omega0_true
+    am = (p[1::2], q, q, s[1::2])
+    a1 = (p[2::2], q, q, s[2::2])
+
+    def shifted(m, h):  # entries of I + h m
+        return (1.0 + h * m[0], h * m[1], h * m[2], 1.0 + h * m[3])
+
+    m1 = (p[0:-1:2], q, q, s[0:-1:2])
+    m2 = _product(am, shifted(m1, 0.5 * dt))
+    m3 = _product(am, shifted(m2, 0.5 * dt))
+    m4 = _product(a1, shifted(m3, dt))
+    r = [k1 + 2.0 * k2 + 2.0 * k3 + k4 for k1, k2, k3, k4 in zip(m1, m2, m3, m4)]
+    return shifted(r, dt / 6.0)
 
 
 def edge_propagator(waveform: PulseWaveform, params: SystemParams) -> np.ndarray:
-    """Total propagator of one edge: ordered product of the RK4 steps.
+    """Total 2x2 propagator of one edge: ordered product of the RK4 steps.
 
-    The product is reduced pairwise (later times multiply from the left),
-    which costs O(log n) matmul passes over the step stack.
+    The product is reduced pairwise on the four entry arrays: later times
+    multiply from the left, and an odd last step is carried unchanged into
+    the next round. That costs O(log n) elementwise passes over the steps.
     """
     steps = _step_propagators(waveform, params)
-    while steps.shape[0] > 1:
-        n = steps.shape[0]
-        if n % 2 == 1:
-            tail = steps[-1]
-            merged = steps[1:-1:2] @ steps[0:-1:2]
-            steps = np.concatenate([merged, tail[None, :, :]], axis=0)
-        else:
-            steps = steps[1::2] @ steps[0::2]
-    return steps[0]
+    while len(steps[0]) > 1:
+        merged = _product([r[1::2] for r in steps], [r[0:-1:2] for r in steps])
+        if len(steps[0]) % 2 == 1:
+            merged = [np.concatenate((m, r[-1:])) for m, r in zip(merged, steps)]
+        steps = merged
+    return np.array([r[0] for r in steps]).reshape(2, 2)
 
 
 def evolve(state: ModeState, waveform: PulseWaveform, params: SystemParams) -> ModeState:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DomainError, FitError, UnderdeterminedFitError
 
@@ -420,6 +419,8 @@ def fit_avoided_crossing(
     FitError
         Optimizer failed to converge; carries the best model so far.
     """
+    from scipy.optimize import minimize
+
     if len(data) < len(_PARAM_NAMES):
         raise DomainError(
             f"need at least {len(_PARAM_NAMES)} points to fit, got {len(data)}"

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ConfigurationError, DomainError
 from .model import TuningModel
@@ -199,8 +198,15 @@ def build_edge_waveform(spec: RampSpec, tuning: TuningModel, edge: str, n_steps:
     return PulseWaveform(t, u, tuning.detuning(u), sample_period=float(t[1] - t[0]))
 
 
+def _peak_detuning_sq(spec: RampSpec, tuning: TuningModel, edge: str) -> float:
+    """Largest squared detuning along one shaped edge, from a 257-sample probe."""
+    probe = build_edge_waveform(spec, tuning, edge, 128)
+    return float(np.max(probe.detuning**2))
+
+
 def plan_edge_steps(
-    spec: RampSpec, tuning: TuningModel, omega0: float, steps_per_period: int = 800
+    spec: RampSpec, tuning: TuningModel, omega0: float, steps_per_period: int = 800,
+    peaks_sq: dict[str, float] | None = None,
 ) -> int:
     """Integration step count giving >= steps_per_period per shortest period.
 
@@ -209,11 +215,15 @@ def plan_edge_steps(
     harmonics can push the voltage outside the endpoint interval, so the
     probe samples the actual shaped edges, with a small margin absorbing
     the probe's own discretization.
+
+    The plan covers both edges; `peaks_sq` maps an already probed edge to
+    its peak squared detuning, so that edge is not probed again.
     """
-    delta_sq_max = 0.0
-    for edge in ("leading", "trailing"):
-        probe = build_edge_waveform(spec, tuning, edge, 128)
-        delta_sq_max = max(delta_sq_max, float(np.max(probe.detuning**2)))
+    peaks_sq = peaks_sq or {}
+    delta_sq_max = max(
+        peaks_sq[edge] if edge in peaks_sq else _peak_detuning_sq(spec, tuning, edge)
+        for edge in ("leading", "trailing")
+    )
     w_max = math.sqrt(delta_sq_max + omega0**2)
     t_min = TWO_PI / w_max
     n = int(math.ceil(1.05 * spec.edge_duration / t_min * steps_per_period))
@@ -314,18 +324,19 @@ def edge_infidelity(
     tuning: TuningModel,
     edge: str,
     steps_per_period: int = 800,
+    peaks_sq: dict[str, float] | None = None,
 ) -> float:
     """Leakage 1 - |<target|U_edge|start>|^2 of one edge, damping off.
 
     Start and target are both the in-plane mode: a perfect edge acts as an
     identity on the mode basis (up to phases), which is what preserves the
-    sensing superposition at the crossing.
+    sensing superposition at the crossing. `peaks_sq` goes to `plan_edge_steps`.
     """
     from . import dynamics
 
     # step count planned per call: large correction harmonics raise the peak
     # detuning and with it the integration-rate floor
-    n_steps = plan_edge_steps(spec, tuning, system.omega0_true, steps_per_period)
+    n_steps = plan_edge_steps(spec, tuning, system.omega0_true, steps_per_period, peaks_sq)
     waveform = build_edge_waveform(spec, tuning, edge, n_steps)
     lossless = replace(system, gamma=0.0)
     kmat = dynamics.edge_propagator(waveform, lossless)
@@ -352,7 +363,12 @@ def optimize_correction(
     pass the current prior-based parameters, not the hidden truth, to mimic
     calibrating against one's best knowledge.
     """
+    from scipy.optimize import minimize
+
     base = replace(spec, kind="corrected")
+    # Only `edge` changes shape during the search: probe the other edge once.
+    fixed = "trailing" if edge == "leading" else "leading"
+    fixed_peak_sq = {fixed: _peak_detuning_sq(base, tuning, fixed)}
 
     def infidelity(cd) -> float:
         c, d = cd
@@ -362,7 +378,7 @@ def optimize_correction(
             trial = replace(base, c=c, d=d)
         else:
             trial = replace(base, c_trail=c, d_trail=d)
-        return edge_infidelity(system, trial, tuning, edge, steps_per_period)
+        return edge_infidelity(system, trial, tuning, edge, steps_per_period, fixed_peak_sq)
 
     grid = np.linspace(-CORRECTION_BOUND, CORRECTION_BOUND, grid_points)
     if 0.0 not in grid:

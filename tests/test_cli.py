@@ -1,5 +1,9 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,6 +291,18 @@ def test_show_pulse_on_the_bundled_comparison_scenario(tmp_path):
     for name in ("pulse_soft.csv", "pulse_soft_filtered.csv"):
         assert (out_soft / name).read_bytes() == (out / name).read_bytes()
     assert json.loads((out_soft / "pulse.json").read_text())["ramp_soft"] == doc["ramp_soft"]
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # Only fitting and the correction search need the optimizer; every
+    # command pays for the package import.
+    src = str(Path(ia.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = "import sys, iaspec; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_bundled_scenarios_all_load():

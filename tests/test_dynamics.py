@@ -1,14 +1,16 @@
 """Two-mode propagation, free evolution, dephasing, and ringdown readout."""
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 import iaspec as ia
 
-from conftest import TWO_PI
+from conftest import PRIOR, TRUTH, TWO_PI, make_design
 
 OMEGA0 = TWO_PI * 42650.0
 PARAMS = ia.SystemParams(omega0_true=OMEGA0, delta0=20 * OMEGA0)
@@ -186,6 +188,53 @@ def test_trajectory_final_state_matches_direct_evolution():
     direct = ia.evolve(ia.ModeState.in_plane(), wf, PARAMS).vector()
     tracked = evolve_trajectory(ia.ModeState.in_plane(), wf, PARAMS)
     assert np.linalg.norm(tracked.final_state.vector() - direct) < 1e-12
+
+
+def floor_waveform(n_steps: int) -> ia.PulseWaveform:
+    """First n_steps of `shaped_waveform`'s detuning at 0.9 of the step floor."""
+    w_bound = math.hypot(10.5 * OMEGA0, OMEGA0)  # |detuning| <= 10.5 OMEGA0
+    dt = 0.9 * TWO_PI / (w_bound * ia.dynamics.MIN_STEPS_PER_PERIOD)
+    t = 0.5 * dt * np.arange(2 * n_steps + 1)
+    x = t / 30e-6
+    delta = 10 * OMEGA0 * (1 - x) ** 2 * np.cos(3 * x) + 0.5 * OMEGA0 * np.sin(7 * x)
+    return ia.PulseWaveform(t, np.zeros_like(t), delta, sample_period=0.5 * dt)
+
+
+# Odd step counts (3, 7, 2549) make the pairwise reduction carry a tail step.
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 2549])
+@pytest.mark.parametrize("gamma", [0.0, 2.0e4])
+@pytest.mark.parametrize("start", [ia.ModeState.in_plane, ia.ModeState.out_of_plane])
+def test_evolve_matches_the_sequential_rk4_reference(n_steps, gamma, start):
+    params = ia.SystemParams(omega0_true=OMEGA0, delta0=20 * OMEGA0, gamma=gamma)
+    wf = floor_waveform(n_steps)
+    direct = ia.evolve(start(), wf, params).vector()
+    reference = evolve_trajectory(start(), wf, params).final_state.vector()
+    assert np.linalg.norm(direct - reference) <= 1e-12
+
+
+@given(
+    c=st.floats(-1.0, 1.0),
+    d=st.floats(-1.0, 1.0),
+    edge=st.sampled_from(["leading", "trailing"]),
+    prior_scale=st.floats(0.8, 1.2),
+    steps_per_period=st.integers(ia.dynamics.MIN_STEPS_PER_PERIOD, 400),
+)
+@settings(max_examples=40, deadline=None)
+def test_lossless_edge_propagator_is_unitary_to_rk4_accuracy(
+    tuning, c, d, edge, prior_scale, steps_per_period
+):
+    design = make_design(tuning, kind="corrected")
+    spec = replace(design.ramp_for(prior_scale * PRIOR), c=c, d=d, c_trail=c, d_trail=d)
+    n_steps = ia.plan_edge_steps(spec, tuning, TRUTH, steps_per_period)
+    wf = ia.build_edge_waveform(spec, tuning, edge, n_steps)
+    u = ia.edge_propagator(wf, ia.SystemParams(omega0_true=TRUTH, delta0=20 * TRUTH))
+    # RK4's local error per step is of order (w dt)^5 / 120, w the fastest
+    # precession rate; allow that much unitarity defect per step plus
+    # rounding of order 1e-15 per step. Shaped edges measured below 0.3% of it.
+    w_max = math.sqrt(float(np.max(wf.detuning**2)) + TRUTH**2)
+    w_dt = w_max * 2.0 * wf.sample_period
+    bound = n_steps * (w_dt**5 / 120.0 + 1e-15)
+    assert np.linalg.norm(u.conj().T @ u - np.eye(2), 2) <= bound
 
 
 def test_free_evolution_exchange_periods():

@@ -128,6 +128,55 @@ def test_planned_steps_satisfy_the_integrator(soft_ramp_spec, tuning):
     assert dev < 1e-9  # unitary when undamped
 
 
+def with_edge_coefficients(spec, edge, c, d):
+    if edge == "leading":
+        return replace(spec, c=c, d=d)
+    return replace(spec, c_trail=c, d_trail=d)
+
+
+@given(
+    c=st.floats(-1.0, 1.0),
+    d=st.floats(-1.0, 1.0),
+    fixed_c=st.floats(-1.0, 1.0),
+    fixed_d=st.floats(-1.0, 1.0),
+    edge=st.sampled_from(["leading", "trailing"]),
+)
+def test_one_edge_probe_plans_like_both_edges(
+    soft_ramp_spec, tuning, c, d, fixed_c, fixed_d, edge
+):
+    # The correction search probes the edge it keeps fixed once and then
+    # only the edge it shapes; the plan must not change.
+    fixed = "trailing" if edge == "leading" else "leading"
+    corrected = replace(soft_ramp_spec, kind="corrected")
+    base = with_edge_coefficients(corrected, fixed, fixed_c, fixed_d)
+    trial = with_edge_coefficients(base, edge, c, d)
+    peak_sq = ia.pulse._peak_detuning_sq(base, tuning, fixed)
+    hoisted = ia.plan_edge_steps(trial, tuning, PRIOR, 200, {fixed: peak_sq})
+    assert hoisted == ia.plan_edge_steps(trial, tuning, PRIOR, 200)
+
+
+def test_correction_search_plans_every_evaluation_over_both_edges(
+    soft_ramp_spec, tuning, monkeypatch
+):
+    plan = ia.pulse.plan_edge_steps
+    plans = []
+
+    def checked_plan(spec, tuning, omega0, steps_per_period=800, peaks_sq=None):
+        n = plan(spec, tuning, omega0, steps_per_period, peaks_sq)
+        plans.append((n, plan(spec, tuning, omega0, steps_per_period)))
+        return n
+
+    monkeypatch.setattr(ia.pulse, "plan_edge_steps", checked_plan)
+    # A strongly shaped leading edge sets the peak detuning the trailing
+    # search has to keep honouring.
+    spec = replace(soft_ramp_spec, c=1.0, d=-1.0)
+    system = ia.SystemParams(omega0_true=PRIOR, delta0=20 * PRIOR)
+    ia.optimize_correction(system, spec, tuning, "trailing", grid_points=3)
+    assert len(plans) > 10
+    assert all(hoisted == both for hoisted, both in plans)
+    assert len({both for _, both in plans}) > 1  # the searched edge decides some plans
+
+
 def test_filter_dc_gain_and_corner():
     filt = ia.FilterModel()
     assert 20.0 * math.log10(filt.magnitude(0.0)) == pytest.approx(-0.4, abs=1e-12)
