@@ -54,9 +54,12 @@ from .dynamics import (
     RingdownRecord,
     SystemParams,
     crossing_rotation,
+    crossing_rotations,
+    draw_shots,
     edge_propagator,
     evolve,
     free_evolution,
+    ringdown_readouts,
     simulate_ringdown,
 )
 from .ramsey import (

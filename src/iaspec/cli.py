@@ -223,7 +223,6 @@ def cmd_fringe_sweep(args) -> int:
     counts = args.fringes if args.fringes else scenario.sweep_fringe_counts
     if not counts:
         raise ConfigurationError("no fringe counts given (flag --fringes or sweep section)")
-    emission = Emission(_resolve_out(args, scenario.name))
     rows = fringe_sweep(
         scenario.design,
         prior=scenario.prior,
@@ -232,6 +231,7 @@ def cmd_fringe_sweep(args) -> int:
         iterations=scenario.sweep_iterations,
         options=scenario.processing,
     )
+    emission = Emission(_resolve_out(args, scenario.name))
     header = [
         "fringes",
         "iterations",

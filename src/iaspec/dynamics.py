@@ -196,27 +196,65 @@ def evolve(state: ModeState, waveform: PulseWaveform, params: SystemParams) -> M
     return ModeState(complex(a[0]), complex(a[1]))
 
 
-def crossing_rotation(
-    a: np.ndarray, t_w: float, params: SystemParams, rng: np.random.Generator | None = None
+def _draws_kick(t_w: float, params: SystemParams) -> bool:
+    return math.isfinite(params.dephasing_time) and t_w > 0.0
+
+
+def draw_shots(
+    point_seed: np.random.SeedSequence, t_w: float, params: SystemParams, n_samples: int
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Standard-normal draws of the params.repeats shots at one wait time.
+
+    Repeat r draws from its own stream, child r of `point_seed`: first the
+    dephasing kick (only for t_w > 0 and a finite T_d), then n_samples
+    readout noise values (only for a positive noise std). Returns (kicks,
+    noise), shapes (repeats,) and (repeats, n_samples), None for a draw
+    no shot makes; when neither is made no stream is built.
+    """
+    kicked = int(_draws_kick(t_w, params))
+    n_noise = n_samples if params.noise_std > 0.0 else 0
+    if not kicked + n_noise:
+        return None, None
+    draws = np.empty((params.repeats, kicked + n_noise))
+    for stream, row in zip(point_seed.spawn(params.repeats), draws):
+        np.random.default_rng(stream).standard_normal(out=row)
+    return (draws[:, 0] if kicked else None), (draws[:, kicked:] if n_noise else None)
+
+
+def crossing_rotations(
+    a: np.ndarray, t_w: float, params: SystemParams, kicks: np.ndarray | None = None
 ) -> np.ndarray:
-    """Amplitude vector after waiting t_w seconds at the crossing (Delta = 0).
+    """Amplitude vectors after waiting t_w seconds at the crossing (Delta = 0).
 
     The exchange rotation around the normal-mode axis has the closed form
     exp(-i chi/2 sigma_x) with chi = omega0 t_w; amplitudes damp by
     exp(-gamma t_w / 2). Dephasing between the normal modes is modeled as a
     Gaussian random phase kick on chi with variance 2 t_w / T_d per shot,
     whose ensemble average reproduces the exp(-t_w/T_d) coherence decay.
-    The kick is drawn only for t_w > 0 and a finite T_d; deterministic
-    callers (rng None) get the kick-free rotation.
+    `kicks` holds one standard-normal draw per shot, scaled here to that
+    variance; without kicks the single kick-free rotation is returned.
+    Returns shape (2, shots), one column per shot.
     """
     if t_w < 0.0:
         raise DomainError("wait time must be non-negative")
-    chi = params.omega0_true * t_w
-    if rng is not None and math.isfinite(params.dephasing_time) and t_w > 0.0:
-        chi += rng.normal(0.0, math.sqrt(2.0 * t_w / params.dephasing_time))
+    chi = np.atleast_1d(params.omega0_true * t_w)
+    if kicks is not None:
+        chi = chi + math.sqrt(2.0 * t_w / params.dephasing_time) * kicks
     damp = math.exp(-0.5 * params.gamma * t_w)
-    cos, sin = math.cos(0.5 * chi), math.sin(0.5 * chi)
+    cos, sin = np.cos(0.5 * chi), np.sin(0.5 * chi)
     return damp * np.array([cos * a[0] - 1.0j * sin * a[1], cos * a[1] - 1.0j * sin * a[0]])
+
+
+def crossing_rotation(
+    a: np.ndarray, t_w: float, params: SystemParams, rng: np.random.Generator | None = None
+) -> np.ndarray:
+    """One shot of `crossing_rotations`, its kick drawn from rng.
+
+    The kick is drawn only for t_w > 0 and a finite T_d; deterministic
+    callers (rng None) get the kick-free rotation.
+    """
+    kicks = rng.standard_normal(1) if rng is not None and _draws_kick(t_w, params) else None
+    return crossing_rotations(a, t_w, params, kicks)[:, 0]
 
 
 def free_evolution(
@@ -229,44 +267,46 @@ def free_evolution(
 
 @dataclass
 class RingdownRecord:
-    """One readout: sampled decay envelope plus its exponential fit.
+    """Ringdown readouts: sampled decay envelopes plus their exponential fits.
 
     `signal` is the demodulated energy-proportional envelope, which decays
     with time constant 1/gamma; `fitted_amplitude` is the fit extrapolated
     back to the protocol origin t = 0, compensating the damping accumulated
-    during the whole sequence.
+    during the whole sequence. From `ringdown_readouts` the signal has one
+    row per shot and the fit fields are arrays over the shots, NaN where
+    the readout was lost; from `simulate_ringdown` they describe one shot.
     """
 
     time: np.ndarray
     signal: np.ndarray
-    fitted_amplitude: float
-    fitted_tau: float
-    n_used: int
+    fitted_amplitude: float | np.ndarray
+    fitted_tau: float | np.ndarray
+    n_used: int | np.ndarray
     start_time: float
 
 
-def simulate_ringdown(
-    amplitude: float,
+def ringdown_readouts(
+    amplitudes: np.ndarray,
     params: SystemParams,
     duration: float | None = None,
-    rng: np.random.Generator | None = None,
+    noise: np.ndarray | None = None,
     start_time: float = 0.0,
     n_samples: int = DEFAULT_RINGDOWN_SAMPLES,
 ) -> RingdownRecord:
-    """Simulate and fit one ringdown readout.
+    """Simulate and fit one ringdown readout per amplitude.
 
     Generates amplitude * exp(-t/tau) with tau = 1/gamma starting at
     `start_time` on the protocol clock, adds Gaussian noise of std
-    params.noise_std per sample, excludes samples below the noise floor
-    (3 sigma), least-squares fits the log envelope and extrapolates to the
-    protocol origin.
-
-    Raises
-    ------
-    ReadoutError
-        Fewer than two noisy samples survive above the noise floor.
+    params.noise_std per sample (`noise`: standard-normal draws, one row
+    of n_samples per shot, needed when the std is positive), excludes
+    samples below the noise floor (3 sigma), least-squares fits the log
+    envelope and extrapolates to the protocol origin. A readout is lost
+    (NaN) when fewer than two noisy samples survive the floor or its
+    samples are degenerate in time; a noiseless readout that keeps fewer
+    than two (amplitude 0) takes the exact analytic value instead.
     """
-    if amplitude < 0.0 or amplitude > 1.0 + 1e-9:
+    amplitudes = np.asarray(amplitudes, dtype=float)
+    if np.any(amplitudes < 0.0) or np.any(amplitudes > 1.0 + 1e-9):
         raise DomainError("readout amplitude must lie in [0, 1]")
     if start_time < 0.0:
         raise DomainError("start time must be non-negative")
@@ -280,47 +320,81 @@ def simulate_ringdown(
 
     t_local = np.linspace(0.0, duration, n_samples)
     decay = np.exp(-t_local / tau) if math.isfinite(tau) else np.ones_like(t_local)
-    signal = amplitude * decay
+    signal = amplitudes[:, None] * decay
     sigma = params.noise_std
     if sigma > 0.0:
-        if rng is None:
-            rng = np.random.default_rng()
-        signal = signal + rng.normal(0.0, sigma, size=signal.shape)
+        signal = signal + sigma * noise
 
-    t_protocol = start_time + t_local
-    floor = NOISE_FLOOR_SIGMAS * sigma
-    mask = signal > floor
-    if np.count_nonzero(mask) < 2:
-        if sigma == 0.0:
-            # Exact noiseless model: the fit is analytic (covers amplitude 0).
-            boost = math.exp(start_time / tau) if math.isfinite(tau) else 1.0
-            return RingdownRecord(
-                time=t_protocol,
-                signal=signal,
-                fitted_amplitude=amplitude * boost,
-                fitted_tau=tau,
-                n_used=n_samples,
-                start_time=start_time,
-            )
-        raise ReadoutError(
-            f"ringdown lost below the noise floor ({np.count_nonzero(mask)} usable samples)"
-        )
-
-    t_fit = t_protocol[mask]
-    y_fit = np.log(signal[mask])
-    t_mean = t_fit.mean()
-    y_mean = y_fit.mean()
-    denom = float(np.sum((t_fit - t_mean) ** 2))
-    if denom == 0.0:
-        raise ReadoutError("ringdown samples degenerate in time")
-    slope = float(np.sum((t_fit - t_mean) * (y_fit - y_mean))) / denom
-    intercept = y_mean - slope * t_mean
-    fitted_tau = -1.0 / slope if slope < 0.0 else math.inf
+    t = start_time + t_local
+    mask = signal > NOISE_FLOOR_SIGMAS * sigma
+    n_used = np.count_nonzero(mask, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.log(np.where(mask, signal, 1.0))
+        t_mean = np.where(mask, t, 0.0).sum(axis=1) / n_used
+        y_mean = y.sum(axis=1) / n_used
+        dt = np.where(mask, t - t_mean[:, None], 0.0)
+        denom = (dt**2).sum(axis=1)
+        slope = (dt * (y - y_mean[:, None])).sum(axis=1) / denom
+        intercept = y_mean - slope * t_mean
+        # math.exp, not np.exp: numpy's vectorized exp misses the correctly
+        # rounded value by an ulp on a few percent of inputs, and the t_w = 0
+        # readouts normalize a whole trace. min() keeps an overflowing
+        # extrapolation finite instead of raising OverflowError.
+        fitted = np.array([math.exp(min(v, 709.0)) for v in intercept.tolist()])
+        fitted[denom == 0.0] = np.nan
+        fitted_tau = np.where(slope < 0.0, -1.0 / slope, math.inf)
+    short = n_used < 2
+    if sigma == 0.0:
+        # Exact noiseless model: the fit is analytic (covers amplitude 0).
+        boost = math.exp(start_time / tau) if math.isfinite(tau) else 1.0
+        fitted = np.where(short, amplitudes * boost, fitted)
+        fitted_tau = np.where(short, tau, fitted_tau)
+        n_used = np.where(short, n_samples, n_used)
+    else:
+        fitted = np.where(short, np.nan, fitted)
+    fitted_tau = np.where(np.isnan(fitted), np.nan, fitted_tau)
     return RingdownRecord(
-        time=t_protocol,
+        time=t,
         signal=signal,
-        fitted_amplitude=float(math.exp(intercept)),
+        fitted_amplitude=fitted,
         fitted_tau=fitted_tau,
-        n_used=int(np.count_nonzero(mask)),
+        n_used=n_used,
+        start_time=start_time,
+    )
+
+
+def simulate_ringdown(
+    amplitude: float,
+    params: SystemParams,
+    duration: float | None = None,
+    rng: np.random.Generator | None = None,
+    start_time: float = 0.0,
+    n_samples: int = DEFAULT_RINGDOWN_SAMPLES,
+) -> RingdownRecord:
+    """One shot of `ringdown_readouts`, its noise drawn from rng.
+
+    Raises
+    ------
+    ReadoutError
+        The readout is lost: fewer than two noisy samples survive above
+        the noise floor, or they are degenerate in time.
+    """
+    noise = None
+    if params.noise_std > 0.0 and n_samples >= 4:  # bad counts fail in ringdown_readouts
+        noise = (rng if rng is not None else np.random.default_rng()).standard_normal(
+            (1, n_samples)
+        )
+    batch = ringdown_readouts(np.array([amplitude]), params, duration, noise, start_time, n_samples)
+    n_used = int(batch.n_used[0])
+    if n_used < 2:
+        raise ReadoutError(f"ringdown lost below the noise floor ({n_used} usable samples)")
+    if math.isnan(batch.fitted_amplitude[0]):
+        raise ReadoutError("ringdown samples degenerate in time")
+    return RingdownRecord(
+        time=batch.time,
+        signal=batch.signal[0],
+        fitted_amplitude=float(batch.fitted_amplitude[0]),
+        fitted_tau=float(batch.fitted_tau[0]),
+        n_used=n_used,
         start_time=start_time,
     )

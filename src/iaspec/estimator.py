@@ -376,13 +376,14 @@ def fringe_sweep(
         raise DomainError("fringe count list is empty")
     if any(n < 2 or n > 64 for n in fringe_counts):
         raise DomainError("fringe counts must lie in [2, 64]")
+    designs = [replace(design, fringes=n) for n in fringe_counts]  # validates each first
     raw_options = replace(options, window="none")
     rows = []
-    for n in fringe_counts:
+    for n, design_n in zip(fringe_counts, designs):
         windowable = n >= MIN_FRINGES_WINDOWED and options.window != "none"
         pass_options = options if windowable else raw_options
         result = ias_run(
-            replace(design, fringes=n),
+            design_n,
             prior=prior,
             seed=_iteration_seed(seed, n),
             max_iterations=iterations,

@@ -21,7 +21,6 @@ from . import dynamics, pulse
 from .dynamics import ModeState, SystemParams
 from .errors import (
     ConfigurationError,
-    ReadoutError,
     TraceError,
     UndefinedVisibilityError,
 )
@@ -35,6 +34,13 @@ MAX_MISSING_FRACTION = 0.2
 
 # Fraction of points entering each robust extremum of the visibility.
 VISIBILITY_TAIL_FRACTION = 0.05
+
+# Caps on simulated ringdown samples. A grid point's repeats are simulated
+# as one (repeats, ringdown_samples) array, 8 MB at the cap; a trace's
+# total bounds its run time. Both sit over 10x above every bundled scenario
+# (at most 321 points x 30 x 50) and benchmark workload (161 x 200 x 50).
+MAX_POINT_SAMPLES = 1_000_000
+MAX_TRACE_SAMPLES = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -132,33 +138,30 @@ def _edge_propagators(config: RamseyConfig):
 def _measure_points(config: RamseyConfig, t_w_values: np.ndarray, seed: int) -> np.ndarray:
     """Raw extrapolated envelopes, shape (n_points, repeats); NaN = lost readout.
 
-    Every (point, repeat) pair draws from its own seed stream, so points are
-    independent and the acquisition order cannot change any value.
+    Every (point, repeat) pair draws from its own seed stream, spawn key
+    (point, repeat), so points are independent and the acquisition order
+    cannot change any value. A point's repeats are simulated as one batch;
+    a point whose shots draw nothing is simulated once.
     """
     k_lead, k_trail, edge_time = _edge_propagators(config)
     params = config.system
     a_cross = k_lead @ ModeState.in_plane().vector()
-    out = np.full((len(t_w_values), params.repeats), np.nan)
+    out = np.empty((len(t_w_values), params.repeats))
     for i, t_w in enumerate(t_w_values):
-        start_time = 2.0 * edge_time + t_w
-        for r in range(params.repeats):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(i, r))
-            )
-            a_fin = k_trail @ dynamics.crossing_rotation(a_cross, t_w, params, rng)
-            envelope = min(abs(a_fin[1]) ** 2, 1.0)
-            try:
-                record = dynamics.simulate_ringdown(
-                    envelope,
-                    params,
-                    duration=config.ringdown_duration,
-                    rng=rng,
-                    start_time=start_time,
-                    n_samples=config.ringdown_samples,
-                )
-            except ReadoutError:
-                continue
-            out[i, r] = record.fitted_amplitude
+        point_seed = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
+        kicks, noise = dynamics.draw_shots(point_seed, t_w, params, config.ringdown_samples)
+        a = dynamics.crossing_rotations(a_cross, t_w, params, kicks)
+        a_ip = k_trail[1, 0] * a[0] + k_trail[1, 1] * a[1]
+        # |a|^2 by hypot, which rounds like scalar abs; np.abs on arrays may not.
+        envelope = np.minimum(np.hypot(a_ip.real, a_ip.imag) ** 2, 1.0)
+        out[i] = dynamics.ringdown_readouts(
+            envelope,
+            params,
+            duration=config.ringdown_duration,
+            noise=noise,
+            start_time=2.0 * edge_time + t_w,
+            n_samples=config.ringdown_samples,
+        ).fitted_amplitude
     return out
 
 
@@ -172,6 +175,7 @@ def acquire_trace(config: RamseyConfig, seed: int) -> RamseyTrace:
     """
     grid = config.wait_grid()
     raw = _measure_points(config, grid, seed)
+    lost = int(np.count_nonzero(np.isnan(raw)))
     reference = float(np.nanmean(raw[0])) if np.any(np.isfinite(raw[0])) else math.nan
     if not math.isfinite(reference) or reference <= 0.0:
         raise TraceError("t_w = 0 reference point unreadable; cannot normalize")
@@ -204,6 +208,7 @@ def acquire_trace(config: RamseyConfig, seed: int) -> RamseyTrace:
         "reference": reference,
         "clipped_values": clipped,
         "missing_points": int(point_missing.sum()),
+        "lost_readouts": lost,
     }
     return RamseyTrace(grid, p_mean, p_std, per_repeat=prob, metadata=metadata)
 
@@ -277,6 +282,16 @@ class SequenceDesign:
         if min(self.steps_per_period, self.optimizer_steps_per_period) < floor:
             raise ConfigurationError(
                 f"steps_per_period and optimizer_steps_per_period must be at least {floor}"
+            )
+        point = self.repeats * self.ringdown_samples
+        if point > MAX_POINT_SAMPLES:
+            raise ConfigurationError(
+                f"repeats x ringdown_samples = {point} exceeds {MAX_POINT_SAMPLES} per grid point"
+            )
+        trace = (self.fringes * self.samples_per_fringe + 1) * point
+        if trace > MAX_TRACE_SAMPLES:
+            raise ConfigurationError(
+                f"trace of {trace} ringdown samples exceeds {MAX_TRACE_SAMPLES}"
             )
 
     def delta0(self) -> float:

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -343,6 +343,10 @@ def parse_scenario(
                 "sweep.iterations: must be >= 2 (first pass is the coarse bootstrap)"
             )
         sweep_counts = [int(v) for v in counts]
+        try:
+            replace(design, fringes=max(sweep_counts))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"sweep.fringe_counts: {exc}") from exc
     else:
         work.pop("sweep", None)
 

@@ -154,11 +154,18 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
         ("run-ias", {"sequence": {"optimizer_steps_per_period": 1}}),
         ("sense", {"kind": "perturbation", "sequence": {"fringes": 2},
                    "perturbation": {"shift_true_hz": 3440.0}}),
+        ("run-ias", {"system": {"repeats": 1000000000}}),
+        ("run-ias", {"sequence": {"ringdown_samples": 100000000}}),
+        ("run-ias", {"sequence": {"samples_per_fringe": 1000000}}),
+        ("fringe-sweep", {"kind": "fringe_sweep", "system": {"repeats": 1600},
+                          "sweep": {"fringe_counts": [4, 64]}}),
     ],
     ids=[
         "fringes_1", "windowed_fringes_3", "samples_per_fringe_1", "ringdown_samples_2",
         "ringdown_duration_negative", "steps_per_period_10",
         "optimizer_steps_per_period_1", "windowed_perturbation_fringes_2",
+        "repeats_1e9", "ringdown_samples_1e8", "trace_samples_over_cap",
+        "sweep_trace_samples_over_cap",
     ],
 )
 def test_invalid_sequences_fail_before_running(tmp_path, capsys, command, edits):
@@ -166,6 +173,23 @@ def test_invalid_sequences_fail_before_running(tmp_path, capsys, command, edits)
     out = tmp_path / "out"
     assert main([command, str(scenario), "--out", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overrides_are_held_to_the_shot_caps(tmp_path, capsys):
+    scenario = write_scenario(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run-ias", str(scenario), "--out", str(out), "--repeats", "1000000000"]) == 1
+    assert "per grid point" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ia.ConfigurationError, match="per grid point"):
+        ia.parse_scenario(json.loads(scenario.read_text()), repeats_override=20001)
+    ia.parse_scenario(json.loads(scenario.read_text()), repeats_override=20000)  # at the cap
+
+    sweep = write_scenario(tmp_path, name="sweep", kind="fringe_sweep")
+    assert main(["fringe-sweep", str(sweep), "--out", str(out), "--repeats", "1600",
+                 "--fringes", "4", "64"]) == 1
+    assert "exceeds 50000000" in capsys.readouterr().err
     assert not out.exists()
 
 

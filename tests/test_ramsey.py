@@ -144,3 +144,116 @@ def test_per_shot_noise_populates_p_std(tuning):
     assert trace.per_repeat.shape == (41, 8)
     assert np.nanmax(trace.p_std) > 0.0
     assert trace.metadata["repeats"] == 8
+
+
+def reference_ringdown(amplitude, params, duration, rng, start_time, n_samples):
+    """One readout fitted sample by sample; NaN when lost."""
+    tau = 1.0 / params.gamma if params.gamma > 0.0 else math.inf
+    if duration is None:
+        duration = tau if math.isfinite(tau) else 1e-3
+    t_local = np.linspace(0.0, duration, n_samples)
+    decay = np.exp(-t_local / tau) if math.isfinite(tau) else np.ones_like(t_local)
+    signal = amplitude * decay
+    sigma = params.noise_std
+    if sigma > 0.0:
+        signal = signal + rng.normal(0.0, sigma, size=signal.shape)
+    mask = signal > 3.0 * sigma
+    if np.count_nonzero(mask) < 2:
+        if sigma == 0.0:
+            return amplitude * (math.exp(start_time / tau) if math.isfinite(tau) else 1.0)
+        return math.nan
+    t_fit = (start_time + t_local)[mask]
+    y_fit = np.log(signal[mask])
+    t_mean, y_mean = t_fit.mean(), y_fit.mean()
+    denom = float(np.sum((t_fit - t_mean) ** 2))
+    if denom == 0.0:
+        return math.nan
+    slope = float(np.sum((t_fit - t_mean) * (y_fit - y_mean))) / denom
+    return math.exp(y_mean - slope * t_mean)
+
+
+def reference_measure_points(config, t_w_values, seed):
+    """The shot loop one (point, repeat) at a time, with scalar physics."""
+    k_lead, k_trail, edge_time = ia.ramsey._edge_propagators(config)
+    params = config.system
+    a_cross = k_lead @ ia.ModeState.in_plane().vector()
+    out = np.full((len(t_w_values), params.repeats), np.nan)
+    for i, t_w in enumerate(t_w_values):
+        for r in range(params.repeats):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i, r)))
+            chi = params.omega0_true * t_w
+            if math.isfinite(params.dephasing_time) and t_w > 0.0:
+                chi += rng.normal(0.0, math.sqrt(2.0 * t_w / params.dephasing_time))
+            cos, sin = math.cos(0.5 * chi), math.sin(0.5 * chi)
+            a = math.exp(-0.5 * params.gamma * t_w) * np.array(
+                [cos * a_cross[0] - 1.0j * sin * a_cross[1],
+                 cos * a_cross[1] - 1.0j * sin * a_cross[0]]
+            )
+            envelope = min(abs((k_trail @ a)[1]) ** 2, 1.0)
+            out[i, r] = reference_ringdown(
+                envelope, params, config.ringdown_duration, rng,
+                2.0 * edge_time + t_w, config.ringdown_samples,
+            )
+    return out
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(gamma=1.6e4, noise_std=0.05, repeats=6),
+        dict(gamma=150.0, noise_std=0.025, dephasing_time=5e-5, repeats=5),
+        dict(gamma=150.0, dephasing_time=5e-5, repeats=4),
+        dict(gamma=150.0, repeats=3, ringdown_duration=3000.0 / 150.0, ringdown_samples=4),
+        dict(noise_std=0.02, repeats=4),
+        dict(gamma=150.0, noise_std=0.02, repeats=4, ringdown_duration=2e-3,
+             ringdown_samples=17),
+        dict(gamma=150.0, noise_std=0.025, repeats=1),
+        dict(gamma=150.0, noise_std=0.025, repeats=8, kind="soft"),
+    ],
+    ids=["lossy_noise", "dephasing_noise", "dephasing_only", "noiseless_underflow",
+         "gamma_0", "explicit_duration", "one_repeat", "soft_edges"],
+)
+def test_batched_shots_match_the_per_shot_reference(tuning, overrides):
+    config = make_design(tuning, **overrides).config_for(PRIOR)
+    grid = config.wait_grid()
+    batched = ia.ramsey._measure_points(config, grid, 77)
+    reference = reference_measure_points(config, grid, 77)
+    np.testing.assert_allclose(batched, reference, rtol=1e-12, atol=0.0)
+
+
+def test_noiseless_readouts_of_zero_amplitude_take_the_analytic_value():
+    params = ia.SystemParams(omega0_true=TRUTH, delta0=20 * TRUTH, gamma=150.0)
+    amplitudes = np.array([0.0, 0.3, 0.0, 1.0])
+    batch = ia.ringdown_readouts(amplitudes, params, start_time=1e-4)
+    reference = [reference_ringdown(a, params, None, None, 1e-4, 50) for a in amplitudes]
+    np.testing.assert_allclose(batch.fitted_amplitude, reference, rtol=1e-12, atol=0.0)
+    assert batch.fitted_amplitude[0] == 0.0
+
+
+def test_one_shot_readout_equals_its_batched_row():
+    params = ia.SystemParams(omega0_true=TRUTH, delta0=20 * TRUTH, gamma=1.6e4,
+                             noise_std=0.05, repeats=12)
+    point_seed = np.random.SeedSequence(entropy=3, spawn_key=(5,))
+    kicks, noise = ia.draw_shots(point_seed, 1e-5, params, 50)
+    assert kicks is None
+    amplitudes = np.linspace(0.0, 1.0, params.repeats)
+    batch = ia.ringdown_readouts(amplitudes, params, noise=noise, start_time=1e-4)
+    assert np.isnan(batch.fitted_amplitude).any()
+    for r, amplitude in enumerate(amplitudes):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=3, spawn_key=(5, r)))
+        try:
+            value = ia.simulate_ringdown(amplitude, params, rng=rng, start_time=1e-4)
+        except ia.ReadoutError:
+            assert math.isnan(batch.fitted_amplitude[r])
+            continue
+        assert value.fitted_amplitude == batch.fitted_amplitude[r]
+        assert value.fitted_tau == batch.fitted_tau[r]
+        assert value.n_used == batch.n_used[r]
+
+
+def test_lost_readouts_are_counted_in_the_metadata(tuning):
+    design = make_design(tuning, gamma=1.6e4, noise_std=0.05, repeats=6)
+    trace = ia.acquire_trace(design.config_for(PRIOR), seed=77)
+    lost = int(np.isnan(trace.per_repeat).sum())
+    assert lost > 0
+    assert trace.metadata["lost_readouts"] == lost
