@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -36,14 +37,6 @@ from .sensing import reference_comparison, run_perturbation_experiment
 TWO_PI = 2.0 * math.pi
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _json_default(value):
     if isinstance(value, np.ndarray):
         return value.tolist()
@@ -53,56 +46,42 @@ def _json_default(value):
 
 
 class Emission:
-    """Collects output files so the manifest can list them all."""
+    """Writes a run's output files and the manifest that lists them.
 
-    def __init__(self, out_dir: Path):
-        self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+    The directory is created on the first write, so a run that fails before
+    writing anything leaves nothing behind.
+    """
+
+    def __init__(self, out: str | None, default_name: str):
+        self.out_dir = Path(out) if out is not None else Path("out") / default_name
         self.files: dict[str, str] = {}
 
-    def path(self, name: str) -> Path:
-        return self.out_dir / name
-
-    def register(self, name: str) -> None:
-        self.files[name] = _sha256(self.path(name))
+    def _save(self, name: str, text: str) -> None:
+        data = text.encode()
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        (self.out_dir / name).write_bytes(data)
+        self.files[name] = hashlib.sha256(data).hexdigest()
 
     def write_json(self, name: str, payload) -> None:
         text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
-        self.path(name).write_text(text + "\n")
-        self.register(name)
+        self._save(name, text + "\n")
 
     def write_rows(self, name: str, header, rows) -> None:
-        with self.path(name).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        self.register(name)
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(header)
+        writer.writerows(rows)
+        self._save(name, text.getvalue())
 
-    def write_manifest(self, scenario_name: str, scenario_sha256: str, seed: int) -> None:
-        payload = {
+    def write_manifest(self, scenario_name: str, source: str | Path, seed: int) -> None:
+        self.write_json("manifest.json", {
             "version": __version__,
             "scenario_name": scenario_name,
-            "scenario_sha256": scenario_sha256,
+            "scenario_sha256": hashlib.sha256(Path(source).read_bytes()).hexdigest(),
             "seed": seed,
             "wall_clock_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "files": dict(sorted(self.files.items())),
-        }
-        text = json.dumps(payload, sort_keys=True, indent=2)
-        self.path("manifest.json").write_text(text + "\n")
-
-
-def _resolve_out(args, default_name: str) -> Path:
-    if args.out is not None:
-        return Path(args.out)
-    return Path("out") / default_name
-
-
-def _resolve_seed(args, scenario: Scenario | None = None) -> int:
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigurationError("--seed must be a non-negative integer")
-        return args.seed
-    return scenario.seed if scenario is not None else 0
+        })
 
 
 def _fmt(value) -> str:
@@ -113,19 +92,40 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _load(args, kind: str) -> Scenario:
-    scenario = load_scenario(args.scenario, repeats_override=args.repeats)
-    if scenario.kind != kind:
-        raise ConfigurationError(
-            f"{args.scenario}: scenario kind is {scenario.kind!r}, "
-            f"this subcommand needs {kind!r}"
-        )
-    return scenario
+def _float_rows(*columns):
+    return [[_fmt(float(v)) for v in row] for row in zip(*columns)]
+
+
+def _scenario_command(kind: str | None):
+    """Wrap `body(args, scenario, seed, emission)` into a subcommand.
+
+    The wrapper loads the scenario (of `kind`, or any kind for None),
+    resolves the seed and the output directory, and writes the manifest
+    after the body. `load_scenario` and what the bodies call are looked up
+    as module globals at call time, so replacing them on this module (as a
+    tracer does) takes effect.
+    """
+    def wrap(body):
+        def command(args) -> int:
+            scenario = load_scenario(args.scenario, repeats_override=args.repeats)
+            if kind is not None and scenario.kind != kind:
+                raise ConfigurationError(
+                    f"{args.scenario}: scenario kind is {scenario.kind!r}, "
+                    f"this subcommand needs {kind!r}"
+                )
+            if args.seed is not None and args.seed < 0:
+                raise ConfigurationError("--seed must be a non-negative integer")
+            seed = scenario.seed if args.seed is None else args.seed
+            emission = Emission(args.out, scenario.name)
+            code = body(args, scenario, seed, emission)
+            emission.write_manifest(scenario.name, args.scenario, seed)
+            return code
+        return command
+    return wrap
 
 
 def cmd_fit_spectrum(args) -> int:
     data = SpectroscopyData.from_csv(args.input)
-    emission = Emission(_resolve_out(args, "fit_spectrum"))
     try:
         model, report = fit_avoided_crossing(data)
     except FitError as exc:
@@ -149,8 +149,9 @@ def cmd_fit_spectrum(args) -> int:
             "assignments": report.assignments,
         },
     }
+    emission = Emission(args.out, "fit_spectrum")
     emission.write_json("fit.json", payload)
-    emission.write_manifest(Path(args.input).stem, _sha256(Path(args.input)), 0)
+    emission.write_manifest(Path(args.input).stem, args.input, 0)
     print(
         f"fit converged: splitting {payload['model']['splitting_hz']:.6g} Hz, "
         f"residual rms {report.residual_rms_hz:.3g} Hz"
@@ -158,71 +159,56 @@ def cmd_fit_spectrum(args) -> int:
     return 0
 
 
-def _emit_iteration_files(emission: Emission, records) -> None:
-    for rec in records:
-        stem = f"iteration_{rec.iteration:02d}"
-        if rec.trace is not None:
-            rec.trace.to_csv(emission.path(f"{stem}_trace.csv"))
-            emission.register(f"{stem}_trace.csv")
-            rec.trace.write_sidecar(emission.path(f"{stem}_trace.json"))
-            emission.register(f"{stem}_trace.json")
-        if rec.record is not None and rec.record.frequency_grid_hz is not None:
-            emission.write_rows(
-                f"{stem}_spectrum.csv",
-                ["frequency_hz", "magnitude"],
-                [
-                    [_fmt(float(f)), _fmt(float(m))]
-                    for f, m in zip(rec.record.frequency_grid_hz, rec.record.magnitude)
-                ],
-            )
-
-
-def cmd_run_ias(args) -> int:
-    scenario = _load(args, "ias")
-    seed = _resolve_seed(args, scenario)
+@_scenario_command("ias")
+def cmd_run_ias(args, scenario: Scenario, seed: int, emission: Emission) -> int:
     max_iterations = (
         args.max_iterations if args.max_iterations is not None else scenario.max_iterations
     )
-    emission = Emission(_resolve_out(args, scenario.name))
-    exit_code = 0
-    if max_iterations > 0:
-        try:
-            result = ias_run(
-                scenario.design,
-                prior=scenario.prior,
-                seed=seed,
-                max_iterations=max_iterations,
-                options=scenario.processing,
-            )
-            records = result.records
-            payload = {"scenario": scenario.name, "seed": seed, "result": result.summary()}
-            print(
-                f"estimate {result.estimate_hz:.6g} Hz "
-                f"+- {result.uncertainty / TWO_PI:.3g} Hz after {result.iterations} "
-                f"iterations (converged: {result.converged})"
-            )
-        except IasRunError as exc:
-            records = exc.records
-            payload = {
-                "scenario": scenario.name,
-                "seed": seed,
-                "error": str(exc),
-                "records": [r.summary() for r in records],
-            }
-            print(f"run aborted: {exc}", file=sys.stderr)
-            exit_code = 3
-        _emit_iteration_files(emission, records)
-        emission.write_json("records.json", payload)
-    emission.write_manifest(scenario.name, _sha256(Path(args.scenario)), seed)
+    if max_iterations == 0:
+        return 0
+    try:
+        result = ias_run(
+            scenario.design,
+            prior=scenario.prior,
+            seed=seed,
+            max_iterations=max_iterations,
+            options=scenario.processing,
+        )
+        records = result.records
+        payload = {"scenario": scenario.name, "seed": seed, "result": result.summary()}
+        print(
+            f"estimate {result.estimate_hz:.6g} Hz "
+            f"+- {result.uncertainty / TWO_PI:.3g} Hz after {result.iterations} "
+            f"iterations (converged: {result.converged})"
+        )
+        exit_code = 0
+    except IasRunError as exc:
+        records = exc.records
+        payload = {
+            "scenario": scenario.name,
+            "seed": seed,
+            "error": str(exc),
+            "records": [r.summary() for r in records],
+        }
+        print(f"run aborted: {exc}", file=sys.stderr)
+        exit_code = 3
+    for rec in records:
+        stem = f"iteration_{rec.iteration:02d}"
+        if rec.trace is not None:
+            trace = rec.trace
+            emission.write_rows(f"{stem}_trace.csv", ["t_w_s", "p_return", "p_std"],
+                                _float_rows(trace.t_w, trace.p_return, trace.p_std))
+            emission.write_json(f"{stem}_trace.json", trace.metadata)
+        if rec.record is not None and rec.record.frequency_grid_hz is not None:
+            emission.write_rows(f"{stem}_spectrum.csv", ["frequency_hz", "magnitude"],
+                                _float_rows(rec.record.frequency_grid_hz, rec.record.magnitude))
+    emission.write_json("records.json", payload)
     return exit_code
 
 
-def cmd_fringe_sweep(args) -> int:
-    scenario = _load(args, "fringe_sweep")
-    seed = _resolve_seed(args, scenario)
+@_scenario_command("fringe_sweep")
+def cmd_fringe_sweep(args, scenario: Scenario, seed: int, emission: Emission) -> int:
     counts = args.fringes if args.fringes else scenario.sweep_fringe_counts
-    if not counts:
-        raise ConfigurationError("no fringe counts given (flag --fringes or sweep section)")
     rows = fringe_sweep(
         scenario.design,
         prior=scenario.prior,
@@ -231,7 +217,6 @@ def cmd_fringe_sweep(args) -> int:
         iterations=scenario.sweep_iterations,
         options=scenario.processing,
     )
-    emission = Emission(_resolve_out(args, scenario.name))
     header = [
         "fringes",
         "iterations",
@@ -247,7 +232,6 @@ def cmd_fringe_sweep(args) -> int:
         "sweep.csv", header, [[_fmt(row[key]) for key in header] for row in rows]
     )
     emission.write_json("sweep.json", {"scenario": scenario.name, "seed": seed, "rows": rows})
-    emission.write_manifest(scenario.name, _sha256(Path(args.scenario)), seed)
     for row in rows:
         processed = (
             f"{row['processed_hz']:.6g} Hz" if row["processed_hz"] is not None
@@ -257,27 +241,20 @@ def cmd_fringe_sweep(args) -> int:
     return 0
 
 
-def cmd_sense(args) -> int:
-    scenario = _load(args, "perturbation")
-    seed = _resolve_seed(args, scenario)
-    emission = Emission(_resolve_out(args, scenario.name))
+@_scenario_command("perturbation")
+def cmd_sense(args, scenario: Scenario, seed: int, emission: Emission) -> int:
     report = run_perturbation_experiment(
         scenario.perturbation, seed=seed, options=scenario.processing
     )
     report["reference_comparison"] = reference_comparison(scenario.charge)
-    if scenario.telegraph is not None and scenario.telegraph.enabled:
+    telegraph = scenario.telegraph
+    if telegraph is not None and telegraph.enabled:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(99,)))
-        name = "telegraph_switching.csv"
-        scenario.telegraph.write_trace(
-            emission.path(name),
-            duration=20.0 / scenario.telegraph.rate_hz,
-            dt=0.05 / scenario.telegraph.rate_hz,
-            rng=rng,
-        )
-        emission.register(name)
-        report["telegraph_trace"] = name
+        times = np.arange(0.0, 20.0 / telegraph.rate_hz, 0.05 / telegraph.rate_hz)
+        report["telegraph_trace"] = "telegraph_switching.csv"
+        emission.write_rows("telegraph_switching.csv", ["time_s", "offset_hz"],
+                            _float_rows(times, telegraph.sample(times, rng)))
     emission.write_json("report.json", report)
-    emission.write_manifest(scenario.name, _sha256(Path(args.scenario)), seed)
     print(
         f"shift {report['shift_hz']:.6g} Hz -> "
         f"{report['charge_density_C_per_m3']:.6g} C/m^3, "
@@ -288,11 +265,9 @@ def cmd_sense(args) -> int:
     return 0
 
 
-def cmd_show_pulse(args) -> int:
-    scenario = load_scenario(args.scenario, repeats_override=args.repeats)
-    seed = _resolve_seed(args, scenario)
+@_scenario_command(None)
+def cmd_show_pulse(args, scenario: Scenario, seed: int, emission: Emission) -> int:
     design = scenario.design
-    emission = Emission(_resolve_out(args, scenario.name))
     wait = args.wait_fringes * TWO_PI / scenario.prior
     info: dict = {"scenario": scenario.name, "prior_hz": scenario.prior_hz}
     kinds = [design.kind] if design.kind != "corrected" else ["corrected", "soft"]
@@ -314,24 +289,16 @@ def cmd_show_pulse(args) -> int:
         waveform = build_sequence_waveform(
             shaped, design.tuning, sample_period, margin=0.25 * shaped.edge_duration
         )
-        name = f"pulse_{kind}.csv"
-        waveform.to_csv(emission.path(name))
-        emission.register(name)
+        waveforms = {f"pulse_{kind}.csv": waveform}
         if design.bandwidth_filter is not None:
-            filtered = apply_bandwidth_filter(waveform, design.bandwidth_filter, design.tuning)
-            filtered_name = f"pulse_{kind}_filtered.csv"
-            filtered.to_csv(emission.path(filtered_name))
-            emission.register(filtered_name)
-        info[f"ramp_{kind}"] = {
-            "t0": shaped.t0, "ts": shaped.ts, "tf": shaped.tf, "tr": shaped.tr,
-            "u_initial": shaped.u_initial, "u_final": shaped.u_final,
-            "u_readout": shaped.u_readout,
-            "c": shaped.c, "d": shaped.d,
-            "c_trail": shaped.c_trail, "d_trail": shaped.d_trail,
-            "kind": shaped.kind,
-        }
+            waveforms[f"pulse_{kind}_filtered.csv"] = apply_bandwidth_filter(
+                waveform, design.bandwidth_filter, design.tuning
+            )
+        for name, wf in waveforms.items():
+            emission.write_rows(name, ["time_s", "voltage_V", "detuning_rad_s"],
+                                _float_rows(wf.time, wf.voltage, wf.detuning))
+        info[f"ramp_{kind}"] = asdict(shaped)
     emission.write_json("pulse.json", info)
-    emission.write_manifest(scenario.name, _sha256(Path(args.scenario)), seed)
     print(f"wrote waveforms for {scenario.name} to {emission.out_dir}")
     return 0
 

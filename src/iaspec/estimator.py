@@ -34,6 +34,10 @@ DEFAULT_PAD_FACTOR = 16
 # Minimum expected fringes for windowed processing: halving must leave >= 2.
 MIN_FRINGES_WINDOWED = 4
 
+# Cap on the zero-padded FFT length, pad_factor x trace points: 16 MB of
+# complex spectrum, 200x the largest bundled or benchmark trace (321 x 16).
+MAX_FFT_LENGTH = 1 << 20
+
 
 @dataclass(frozen=True)
 class ProcessingOptions:
@@ -53,6 +57,14 @@ class ProcessingOptions:
             raise ConfigurationError("window_fraction must lie in (0, 1]")
         if self.pad_factor < 1:
             raise ConfigurationError("pad_factor must be >= 1")
+
+    def check_fft_length(self, design: SequenceDesign) -> None:
+        """Reject a design whose padded trace FFT would exceed MAX_FFT_LENGTH."""
+        points = design.fringes * design.samples_per_fringe + 1
+        if self.pad_factor * points > MAX_FFT_LENGTH:
+            raise ConfigurationError(
+                f"pad_factor x {points} trace points exceeds the FFT cap of {MAX_FFT_LENGTH}"
+            )
 
 
 @dataclass(frozen=True)
@@ -377,6 +389,8 @@ def fringe_sweep(
     if any(n < 2 or n > 64 for n in fringe_counts):
         raise DomainError("fringe counts must lie in [2, 64]")
     designs = [replace(design, fringes=n) for n in fringe_counts]  # validates each first
+    for design_n in designs:
+        options.check_fft_length(design_n)
     raw_options = replace(options, window="none")
     rows = []
     for n, design_n in zip(fringe_counts, designs):

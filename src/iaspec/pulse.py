@@ -8,10 +8,8 @@ minimization of the end-of-edge leakage, not analytically.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +28,12 @@ MIN_SAMPLES_PER_HARMONIC = 50
 
 # Coefficient search box for the correction optimizer.
 CORRECTION_BOUND = 1.0
+
+# Cap on the integration steps one edge may plan, checked against
+# `edge_steps_bound` before a scenario runs. The edge kernel holds about
+# 0.4 kB per step, 200 MB at the cap; bundled scenarios plan about 1.0e4
+# steps per edge and bound 6.3e4.
+MAX_EDGE_STEPS = 500_000
 
 # Above this end-of-edge infidelity the optimizer result carries a warning.
 STAGNATION_INFIDELITY = 0.2
@@ -165,14 +169,6 @@ class PulseWaveform:
     def duration(self) -> float:
         return float(self.time[-1] - self.time[0])
 
-    def to_csv(self, path) -> None:
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time_s", "voltage_V", "detuning_rad_s"])
-            for t, u, dl in zip(self.time, self.voltage, self.detuning):
-                writer.writerow([f"{t:.12g}", f"{u:.12g}", f"{dl:.12g}"])
-
 
 def build_edge_waveform(spec: RampSpec, tuning: TuningModel, edge: str, n_steps: int) -> PulseWaveform:
     """Sample one edge at 2*n_steps+1 points (integration midpoints included).
@@ -224,10 +220,38 @@ def plan_edge_steps(
         peaks_sq[edge] if edge in peaks_sq else _peak_detuning_sq(spec, tuning, edge)
         for edge in ("leading", "trailing")
     )
+    n = int(math.ceil(_edge_steps(spec, delta_sq_max, omega0, steps_per_period)))
+    return max(n, MIN_SAMPLES_PER_HARMONIC)
+
+
+def _edge_steps(spec: RampSpec, delta_sq_max: float, omega0: float, steps_per_period) -> float:
     w_max = math.sqrt(delta_sq_max + omega0**2)
     t_min = TWO_PI / w_max
-    n = int(math.ceil(1.05 * spec.edge_duration / t_min * steps_per_period))
-    return max(n, MIN_SAMPLES_PER_HARMONIC)
+    return 1.05 * spec.edge_duration / t_min * steps_per_period
+
+
+def edge_steps_bound(spec: RampSpec, tuning: TuningModel, steps_per_period: int) -> float:
+    """Closed-form bound on `plan_edge_steps` over every correction the search may try.
+
+    A correction term c (1 - cos 2 pi x) + d sin 2 pi x stays within 3 B for
+    |c|, |d| <= B = CORRECTION_BOUND, so each edge's voltage stays within its
+    span widened by 3 B spans at both ends. The detuning is quadratic in the
+    voltage, so its peak there sits at an end or at the shared tuning center
+    (which a ramp's crossing voltage requires). A valid system's splitting
+    is at most 1/MIN_DETUNING_RATIO of the initial detuning, which lies on
+    the leading edge.
+    """
+    from .dynamics import MIN_DETUNING_RATIO
+
+    widen, peak_sq = 3.0 * CORRECTION_BOUND, 0.0
+    for edge in ("leading", "trailing"):
+        _, _, u_start, u_end = spec.edge_span(edge)
+        lo, hi = sorted((u_start - widen * (u_end - u_start), u_end + widen * (u_end - u_start)))
+        u = np.array([lo, hi, min(max(tuning.oop.center_voltage, lo), hi)])
+        peak_sq = max(peak_sq, float(np.max(tuning.detuning(u) ** 2)))
+    if not math.isfinite(2.0 * peak_sq):  # w_max itself would overflow
+        return math.inf
+    return _edge_steps(spec, peak_sq, math.sqrt(peak_sq) / MIN_DETUNING_RATIO, steps_per_period)
 
 
 def build_sequence_waveform(

@@ -9,11 +9,8 @@ number of expected fringes of the prior splitting.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -102,17 +99,6 @@ class RamseyTrace:
     @property
     def sample_period(self) -> float:
         return float(self.t_w[1] - self.t_w[0])
-
-    def to_csv(self, path) -> None:
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t_w_s", "p_return", "p_std"])
-            for t, p, s in zip(self.t_w, self.p_return, self.p_std):
-                writer.writerow([f"{t:.12g}", f"{p:.12g}", f"{s:.12g}"])
-
-    def write_sidecar(self, path) -> None:
-        Path(path).write_text(json.dumps(self.metadata, sort_keys=True, indent=2))
 
 
 def _edge_propagators(config: RamseyConfig):
@@ -349,17 +335,10 @@ class SequenceDesign:
         )
         return lead, trail
 
-    def config_for(
-        self,
-        prior: float,
-        fringes: int | None = None,
-        optimize: bool | None = None,
-    ) -> RamseyConfig:
+    def config_for(self, prior: float, fringes: int | None = None) -> RamseyConfig:
         """Acquisition config for one prior; re-optimizes corrected edges."""
         lead = trail = None
-        if optimize is None:
-            optimize = self.kind == "corrected"
-        if optimize and self.kind == "corrected":
+        if self.kind == "corrected":
             lead, trail = self.optimize_edges(prior)
         return RamseyConfig(
             fringes=self.fringes if fringes is None else fringes,

@@ -1,59 +1,34 @@
 """Scenario files: one JSON document describes one reproducible run.
 
-Schema (all frequencies in Hz, voltages in V, times in s; sections marked
-optional may be omitted):
+`SCHEMA` below lists every section's keys, types and defaults; README.md
+shows a full example. Frequencies are in Hz (keys ending in _hz), voltages
+in V and times in s. `kind` (ias | fringe_sweep | perturbation | pulse)
+picks the subcommand. tuning, system, sequence and run are required;
+processing and charge default to their built-in values, filter and
+telegraph are off when absent. `sweep` belongs to fringe_sweep scenarios
+and `perturbation` (required there) to perturbation scenarios; on any
+other kind either is an unknown key, like any key the schema does not list.
 
-    {
-      "name": "baseline_run",             // optional, defaults to file stem
-      "description": "...",               // optional free text
-      "kind": "ias",                      // ias | fringe_sweep | perturbation | pulse
-      "seed": 1234,                       // optional master seed (u64)
-      "tuning": {
-        "oop_center_hz": ..., "ip_center_hz": ...,
-        "oop_coefficient_hz_per_v2": ...,   // > 0, stiffening
-        "ip_coefficient_hz_per_v2": ...,    // < 0, softening
-        "center_voltage_v": ...,
-        "splitting_hz": ...                 // fitted minimal splitting
-      },
-      "system": {
-        "splitting_true_hz": ...,           // hidden truth
-        "gamma_per_s": ...,                 // energy decay rate, >= 0
-        "dephasing_time_s": ...,            // optional, default inf
-        "readout_noise_std": ...,           // optional, default 0
-        "repeats": ...                      // optional, default 30
-      },
-      "sequence": {
-        "u_initial_v": ..., "u_readout_v": ...,
-        "ramp_kind": "corrected",           // soft | corrected | ideal
-        "fringes": 4, "samples_per_fringe": 10,        // optional
-        "edge_cycles": 1.0,                            // optional
-        "steps_per_period": 800,                       // optional
-        "optimizer_steps_per_period": 200,             // optional
-        "ringdown_duration_s": null, "ringdown_samples": 50  // optional
-      },
-      "processing": {                       // optional
-        "window": "hann", "window_fraction": 0.5,
-        "pad_factor": 16, "interpolate": true
-      },
-      "run": {"prior_hz": ..., "max_iterations": 6},
-      "sweep": {"fringe_counts": [2,4,8,16,32], "iterations": 3},  // fringe_sweep
-      "perturbation": {"shift_true_hz": ..., "n_runs": 5},         // perturbation
-      "filter": {"passband_gain_db": -0.4, "corner_hz": 1e5},      // optional, off when absent
-      "charge": {                           // optional
-        "response_hz_per_density": 26.0,
-        "dimensions_m": [55e-6, 250e-9, 100e-9]
-      },
-      "telegraph": {"rate_hz": ..., "amplitude_hz": ..., "enabled": false}  // optional
-    }
+Every number must be finite: NaN, Infinity and integers beyond the float
+range are rejected. null is accepted only where the default is null
+(`name`: the file stem, `dephasing_time_s`: no dephasing,
+`ringdown_duration_s`: derived, `filter` and `telegraph`: off). A section
+that is present is read in full, even when empty: "filter": {} is the
+default filter, and "telegraph": {} lacks its required rate.
 
 Every referenced sub-configuration is constructed, and therefore
 validated, at parse time; nothing runs on a scenario that does not fully
-validate.
+validate. Two resource caps are checked in closed form, before anything
+is simulated: the integration steps one edge may plan, bounded over every
+correction the search may try (`pulse.MAX_EDGE_STEPS`), and the padded FFT
+length, pad_factor x trace points (`estimator.MAX_FFT_LENGTH`).
 """
 from __future__ import annotations
 
 import json
 import math
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -61,9 +36,9 @@ from pathlib import Path
 from .errors import ConfigurationError, DomainError
 from .estimator import MIN_FRINGES_WINDOWED, ProcessingOptions
 from .model import ModeTuning, TuningModel
-from .pulse import FilterModel
+from .pulse import MAX_EDGE_STEPS, FilterModel, edge_steps_bound
 from .ramsey import SequenceDesign
-from .sensing import ChargeModel, PerturbationScenario, TelegraphNoise
+from .sensing import DEFAULT_DIMENSIONS_M, ChargeModel, PerturbationScenario, TelegraphNoise
 
 TWO_PI = 2.0 * math.pi
 
@@ -73,67 +48,107 @@ DEFAULT_SEED = 20260814
 
 _REQUIRED = object()
 
+# Each section's fields as (key, type, default); the top level is the
+# section "scenario", whose dict fields are the other sections. `float`
+# takes any finite JSON number, `int` a JSON integer within the float range,
+# `[t]` a list of t, and a tuple of strings one of those strings.
+SCHEMA = {
+    "scenario": (
+        ("name", str, None), ("description", str, ""),
+        ("kind", SCENARIO_KINDS, _REQUIRED), ("seed", int, DEFAULT_SEED),
+        ("tuning", dict, _REQUIRED), ("system", dict, _REQUIRED),
+        ("sequence", dict, _REQUIRED), ("run", dict, _REQUIRED),
+        ("processing", dict, {}), ("charge", dict, {}),
+        ("filter", dict, None), ("telegraph", dict, None),
+    ),
+    "tuning": tuple((key, float, _REQUIRED) for key in (
+        "oop_center_hz", "ip_center_hz", "oop_coefficient_hz_per_v2",
+        "ip_coefficient_hz_per_v2", "center_voltage_v", "splitting_hz",
+    )),
+    "system": (
+        ("splitting_true_hz", float, _REQUIRED), ("gamma_per_s", float, 0.0),
+        ("dephasing_time_s", float, None), ("readout_noise_std", float, 0.0),
+        ("repeats", int, 30),
+    ),
+    "sequence": (
+        ("u_initial_v", float, _REQUIRED), ("u_readout_v", float, _REQUIRED),
+        ("ramp_kind", str, "corrected"), ("fringes", int, 4),
+        ("samples_per_fringe", int, 10), ("edge_cycles", float, 1.0),
+        ("steps_per_period", int, 800), ("optimizer_steps_per_period", int, 200),
+        ("ringdown_duration_s", float, None), ("ringdown_samples", int, 50),
+    ),
+    "run": (("prior_hz", float, _REQUIRED), ("max_iterations", int, 6)),
+    "processing": (
+        ("window", str, "hann"), ("window_fraction", float, 0.5),
+        ("pad_factor", int, 16), ("interpolate", bool, True),
+    ),
+    "charge": (
+        ("response_hz_per_density", float, 26.0),
+        ("dimensions_m", [float], list(DEFAULT_DIMENSIONS_M)),
+    ),
+    "filter": (("passband_gain_db", float, -0.4), ("corner_hz", float, 1e5)),
+    "telegraph": (
+        ("rate_hz", float, _REQUIRED), ("amplitude_hz", float, _REQUIRED),
+        ("enabled", bool, False),
+    ),
+    "sweep": (("fringe_counts", [int], [2, 4, 8, 16, 32]), ("iterations", int, 3)),
+    "perturbation": (("shift_true_hz", float, _REQUIRED), ("n_runs", int, 5)),
+}
 
-def _section(raw: dict, key: str, required: bool = True) -> dict:
-    value = raw.pop(key, None)
-    if value is None:
-        if required:
-            raise ConfigurationError(f"{key}: section missing")
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigurationError(f"{key}: must be a JSON object")
-    return dict(value)
+# Top-level sections that belong to one kind; any other kind rejects them.
+KIND_SECTIONS = {
+    "fringe_sweep": ("sweep", dict, {}),
+    "perturbation": ("perturbation", dict, _REQUIRED),
+}
+
+_EXPECTED = {float: "a finite number", int: "an integer", str: "a string",
+             bool: "true/false", dict: "a JSON object"}
 
 
-def _number(section: dict, key: str, path: str, default=_REQUIRED, allow_none: bool = False):
-    if key not in section:
-        if default is _REQUIRED:
-            raise ConfigurationError(f"{path}.{key}: missing")
-        return default
-    value = section.pop(key)
-    if value is None and allow_none:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{path}.{key}: expected a number, got {value!r}")
-    return float(value)
+def _value(value, kind, where: str):
+    """One JSON value checked against a schema type."""
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigurationError(f"{where}: must be one of {kind}, got {value!r:.40}")
+        return value
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{where}: expected a list, got {value!r:.40}")
+        return [_value(item, kind[0], f"{where}[{i}]") for i, item in enumerate(value)]
+    if kind in (float, int):
+        number = isinstance(value, (int, float) if kind is float else int)
+        if number and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
+            return kind(value)
+    elif isinstance(value, kind):
+        return value
+    raise ConfigurationError(f"{where}: expected {_EXPECTED[kind]}, got {value!r:.40}")
 
 
-def _integer(section: dict, key: str, path: str, default=_REQUIRED):
-    if key not in section:
-        if default is _REQUIRED:
-            raise ConfigurationError(f"{path}.{key}: missing")
-        return default
-    value = section.pop(key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{path}.{key}: expected an integer, got {value!r}")
-    return value
+def _fields(section: dict, path: str, fields) -> dict:
+    """Every field of one section, type-checked or defaulted; no other keys."""
+    rest = dict(section)
+    values = {}
+    for key, kind, default in fields:
+        if key not in rest:
+            if default is _REQUIRED:
+                raise ConfigurationError(f"{path}.{key}: missing")
+            values[key] = default
+        elif rest[key] is None and default is None:
+            values[key] = rest.pop(key)
+        else:
+            values[key] = _value(rest.pop(key), kind, f"{path}.{key}")
+    if rest:
+        raise ConfigurationError(f"{path}: unknown keys {sorted(rest)}")
+    return values
 
 
-def _string(section: dict, key: str, path: str, default=_REQUIRED):
-    if key not in section:
-        if default is _REQUIRED:
-            raise ConfigurationError(f"{path}.{key}: missing")
-        return default
-    value = section.pop(key)
-    if not isinstance(value, str):
-        raise ConfigurationError(f"{path}.{key}: expected a string, got {value!r}")
-    return value
-
-
-def _boolean(section: dict, key: str, path: str, default=_REQUIRED):
-    if key not in section:
-        if default is _REQUIRED:
-            raise ConfigurationError(f"{path}.{key}: missing")
-        return default
-    value = section.pop(key)
-    if not isinstance(value, bool):
-        raise ConfigurationError(f"{path}.{key}: expected true/false, got {value!r}")
-    return value
-
-
-def _ensure_empty(section: dict, path: str) -> None:
-    if section:
-        raise ConfigurationError(f"{path}: unknown keys {sorted(section)}")
+@contextmanager
+def _prefixed(path: str):
+    """Report a constructor's ConfigurationError or DomainError under `path`."""
+    try:
+        yield
+    except (ConfigurationError, DomainError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 @dataclass
@@ -142,7 +157,6 @@ class Scenario:
 
     name: str
     kind: str
-    tuning: TuningModel
     design: SequenceDesign
     processing: ProcessingOptions
     prior: float
@@ -153,137 +167,10 @@ class Scenario:
     sweep_iterations: int = 3
     perturbation: PerturbationScenario | None = None
     telegraph: TelegraphNoise | None = None
-    description: str = ""
 
     @property
     def prior_hz(self) -> float:
         return self.prior / TWO_PI
-
-
-def _build_tuning(raw: dict) -> TuningModel:
-    section = _section(raw, "tuning")
-    oop_center = _number(section, "oop_center_hz", "tuning")
-    ip_center = _number(section, "ip_center_hz", "tuning")
-    oop_coeff = _number(section, "oop_coefficient_hz_per_v2", "tuning")
-    ip_coeff = _number(section, "ip_coefficient_hz_per_v2", "tuning")
-    center_v = _number(section, "center_voltage_v", "tuning")
-    splitting = _number(section, "splitting_hz", "tuning")
-    _ensure_empty(section, "tuning")
-    try:
-        return TuningModel(
-            oop=ModeTuning(TWO_PI * oop_center, TWO_PI * oop_coeff, center_v),
-            ip=ModeTuning(TWO_PI * ip_center, TWO_PI * ip_coeff, center_v),
-            splitting=TWO_PI * splitting,
-        )
-    except (ConfigurationError, DomainError) as exc:
-        raise ConfigurationError(f"tuning: {exc}") from exc
-
-
-def _build_design(raw: dict, tuning: TuningModel, repeats_override: int | None) -> SequenceDesign:
-    system = _section(raw, "system")
-    splitting_true = _number(system, "splitting_true_hz", "system")
-    gamma = _number(system, "gamma_per_s", "system", default=0.0)
-    dephasing = _number(system, "dephasing_time_s", "system", default=math.inf, allow_none=True)
-    noise_std = _number(system, "readout_noise_std", "system", default=0.0)
-    repeats = _integer(system, "repeats", "system", default=30)
-    _ensure_empty(system, "system")
-    if repeats_override is not None:
-        repeats = repeats_override
-    if dephasing is None:
-        dephasing = math.inf
-
-    sequence = _section(raw, "sequence")
-    u_initial = _number(sequence, "u_initial_v", "sequence")
-    u_readout = _number(sequence, "u_readout_v", "sequence")
-    ramp_kind = _string(sequence, "ramp_kind", "sequence", default="corrected")
-    fringes = _integer(sequence, "fringes", "sequence", default=4)
-    spf = _integer(sequence, "samples_per_fringe", "sequence", default=10)
-    edge_cycles = _number(sequence, "edge_cycles", "sequence", default=1.0)
-    spp = _integer(sequence, "steps_per_period", "sequence", default=800)
-    opt_spp = _integer(sequence, "optimizer_steps_per_period", "sequence", default=200)
-    ringdown_duration = _number(
-        sequence, "ringdown_duration_s", "sequence", default=None, allow_none=True
-    )
-    ringdown_samples = _integer(sequence, "ringdown_samples", "sequence", default=50)
-    _ensure_empty(sequence, "sequence")
-
-    filter_section = _section(raw, "filter", required=False)
-    bandwidth_filter = None
-    if filter_section:
-        gain = _number(filter_section, "passband_gain_db", "filter", default=-0.4)
-        corner = _number(filter_section, "corner_hz", "filter", default=1e5)
-        _ensure_empty(filter_section, "filter")
-        bandwidth_filter = FilterModel(passband_gain_db=gain, corner_hz=corner)
-
-    try:
-        return SequenceDesign(
-            tuning=tuning,
-            u_initial=u_initial,
-            u_readout=u_readout,
-            omega0_true=TWO_PI * splitting_true,
-            gamma=gamma,
-            dephasing_time=dephasing,
-            noise_std=noise_std,
-            repeats=repeats,
-            kind=ramp_kind,
-            fringes=fringes,
-            samples_per_fringe=spf,
-            edge_cycles=edge_cycles,
-            steps_per_period=spp,
-            optimizer_steps_per_period=opt_spp,
-            ringdown_duration=ringdown_duration,
-            ringdown_samples=ringdown_samples,
-            bandwidth_filter=bandwidth_filter,
-        )
-    except (ConfigurationError, DomainError) as exc:
-        raise ConfigurationError(f"sequence/system: {exc}") from exc
-
-
-def _build_processing(raw: dict) -> ProcessingOptions:
-    section = _section(raw, "processing", required=False)
-    if not section:
-        return ProcessingOptions()
-    window = _string(section, "window", "processing", default="hann")
-    fraction = _number(section, "window_fraction", "processing", default=0.5)
-    pad = _integer(section, "pad_factor", "processing", default=16)
-    interpolate = _boolean(section, "interpolate", "processing", default=True)
-    _ensure_empty(section, "processing")
-    try:
-        return ProcessingOptions(window, fraction, pad, interpolate)
-    except (ConfigurationError, DomainError) as exc:
-        raise ConfigurationError(f"processing: {exc}") from exc
-
-
-def _build_charge(raw: dict) -> ChargeModel:
-    section = _section(raw, "charge", required=False)
-    if not section:
-        return ChargeModel()
-    response = _number(section, "response_hz_per_density", "charge", default=26.0)
-    dims = section.pop("dimensions_m", None)
-    _ensure_empty(section, "charge")
-    try:
-        if dims is None:
-            return ChargeModel(response_hz_per_density=response)
-        if not (isinstance(dims, list) and len(dims) == 3):
-            raise ConfigurationError("dimensions_m must be a list of three numbers")
-        return ChargeModel.from_dimensions(*[float(v) for v in dims],
-                                           response_hz_per_density=response)
-    except (ConfigurationError, DomainError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"charge: {exc}") from exc
-
-
-def _build_telegraph(raw: dict) -> TelegraphNoise | None:
-    section = _section(raw, "telegraph", required=False)
-    if not section:
-        return None
-    rate = _number(section, "rate_hz", "telegraph")
-    amplitude = _number(section, "amplitude_hz", "telegraph")
-    enabled = _boolean(section, "enabled", "telegraph", default=False)
-    _ensure_empty(section, "telegraph")
-    try:
-        return TelegraphNoise(rate_hz=rate, amplitude_hz=amplitude, enabled=enabled)
-    except (ConfigurationError, DomainError) as exc:
-        raise ConfigurationError(f"telegraph: {exc}") from exc
 
 
 def parse_scenario(
@@ -298,79 +185,93 @@ def parse_scenario(
     """
     if not isinstance(raw, dict):
         raise ConfigurationError("scenario: top level must be a JSON object")
-    work = dict(raw)
-    scenario_name = _string(work, "name", "scenario", default=name or "scenario")
-    description = _string(work, "description", "scenario", default="")
-    kind = _string(work, "kind", "scenario")
-    if kind not in SCENARIO_KINDS:
-        raise ConfigurationError(f"kind: must be one of {SCENARIO_KINDS}, got {kind!r}")
-    seed = _integer(work, "seed", "scenario", default=DEFAULT_SEED)
+    own = tuple(field for kind, field in KIND_SECTIONS.items() if kind == raw.get("kind"))
+    top = _fields(raw, "scenario", SCHEMA["scenario"] + own)
+    kind, seed = top["kind"], top["seed"]
     if seed < 0:
         raise ConfigurationError("seed: must be a non-negative integer")
+    sections = {key: _fields(value, key, SCHEMA[key])
+         for key, value in top.items() if key in SCHEMA and value is not None}
 
-    tuning = _build_tuning(work)
-    design = _build_design(work, tuning, repeats_override)
-    processing = _build_processing(work)
-    charge = _build_charge(work)
-    telegraph = _build_telegraph(work)
+    t, system, sequence, run = (sections[key] for key in ("tuning", "system", "sequence", "run"))
+    with _prefixed("tuning"):
+        tuning = TuningModel(
+            oop=ModeTuning(TWO_PI * t["oop_center_hz"], TWO_PI * t["oop_coefficient_hz_per_v2"],
+                           t["center_voltage_v"]),
+            ip=ModeTuning(TWO_PI * t["ip_center_hz"], TWO_PI * t["ip_coefficient_hz_per_v2"],
+                          t["center_voltage_v"]),
+            splitting=TWO_PI * t["splitting_hz"],
+        )
+    with _prefixed("filter"):
+        bandwidth_filter = FilterModel(**sections["filter"]) if "filter" in sections else None
+    dephasing = system["dephasing_time_s"]
+    with _prefixed("sequence/system"):
+        design = SequenceDesign(
+            tuning=tuning,
+            u_initial=sequence["u_initial_v"],
+            u_readout=sequence["u_readout_v"],
+            omega0_true=TWO_PI * system["splitting_true_hz"],
+            gamma=system["gamma_per_s"],
+            dephasing_time=math.inf if dephasing is None else dephasing,
+            noise_std=system["readout_noise_std"],
+            repeats=system["repeats"] if repeats_override is None else repeats_override,
+            kind=sequence["ramp_kind"],
+            fringes=sequence["fringes"],
+            samples_per_fringe=sequence["samples_per_fringe"],
+            edge_cycles=sequence["edge_cycles"],
+            steps_per_period=sequence["steps_per_period"],
+            optimizer_steps_per_period=sequence["optimizer_steps_per_period"],
+            ringdown_duration=sequence["ringdown_duration_s"],
+            ringdown_samples=sequence["ringdown_samples"],
+            bandwidth_filter=bandwidth_filter,
+        )
+    dims = sections["charge"]["dimensions_m"]
+    if len(dims) != 3:
+        raise ConfigurationError("charge.dimensions_m: must be a list of three numbers")
+    with _prefixed("charge"):
+        charge = ChargeModel.from_dimensions(
+            *dims, response_hz_per_density=sections["charge"]["response_hz_per_density"]
+        )
+    with _prefixed("processing"):
+        processing = ProcessingOptions(**sections["processing"])
+    with _prefixed("telegraph"):
+        telegraph = TelegraphNoise(**sections["telegraph"]) if "telegraph" in sections else None
 
-    run = _section(work, "run")
-    prior_hz = _number(run, "prior_hz", "run")
-    max_iterations = _integer(run, "max_iterations", "run", default=6)
-    _ensure_empty(run, "run")
-    if prior_hz <= 0.0:
+    if run["prior_hz"] <= 0.0:
         raise ConfigurationError("run.prior_hz: must be positive")
-    if max_iterations < 0:
+    if run["max_iterations"] < 0:
         raise ConfigurationError("run.max_iterations: must be non-negative")
-    prior = TWO_PI * prior_hz
+    prior = TWO_PI * run["prior_hz"]
 
     sweep_counts = None
     sweep_iterations = 3
+    longest = design
     if kind == "fringe_sweep":
-        sweep = _section(work, "sweep", required=False)
-        counts = sweep.pop("fringe_counts", [2, 4, 8, 16, 32])
-        sweep_iterations = _integer(sweep, "iterations", "sweep", default=3)
-        _ensure_empty(sweep, "sweep")
-        if not (isinstance(counts, list) and counts):
-            raise ConfigurationError("sweep.fringe_counts: must be a non-empty list")
-        for v in counts:
-            if isinstance(v, bool) or not isinstance(v, int) or not 2 <= v <= 64:
-                raise ConfigurationError(
-                    f"sweep.fringe_counts: entries must be integers in [2, 64], got {v!r}"
-                )
+        sweep_counts = list(sections["sweep"]["fringe_counts"])
+        sweep_iterations = sections["sweep"]["iterations"]
+        if not sweep_counts or not all(2 <= v <= 64 for v in sweep_counts):
+            raise ConfigurationError(
+                f"sweep.fringe_counts: must be a non-empty list of integers in [2, 64], "
+                f"got {sweep_counts!r:.40}"
+            )
         if sweep_iterations < 2:
             raise ConfigurationError(
                 "sweep.iterations: must be >= 2 (first pass is the coarse bootstrap)"
             )
-        sweep_counts = [int(v) for v in counts]
-        try:
-            replace(design, fringes=max(sweep_counts))
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"sweep.fringe_counts: {exc}") from exc
-    else:
-        work.pop("sweep", None)
+        with _prefixed("sweep.fringe_counts"):
+            longest = replace(design, fringes=max(sweep_counts))
 
     perturbation = None
     if kind == "perturbation":
-        section = _section(work, "perturbation")
-        shift_hz = _number(section, "shift_true_hz", "perturbation")
-        n_runs = _integer(section, "n_runs", "perturbation", default=5)
-        _ensure_empty(section, "perturbation")
-        try:
+        with _prefixed("perturbation"):
             perturbation = PerturbationScenario(
                 design=design,
                 prior=prior,
-                shift_true=TWO_PI * shift_hz,
-                n_runs=n_runs,
-                max_iterations=max(max_iterations, 1),
+                shift_true=TWO_PI * sections["perturbation"]["shift_true_hz"],
+                n_runs=sections["perturbation"]["n_runs"],
+                max_iterations=max(run["max_iterations"], 1),
                 charge=charge,
             )
-        except (ConfigurationError, DomainError) as exc:
-            raise ConfigurationError(f"perturbation: {exc}") from exc
-    else:
-        work.pop("perturbation", None)
-
-    _ensure_empty(work, "scenario")
 
     if (
         kind in ("ias", "perturbation")
@@ -383,27 +284,30 @@ def parse_scenario(
 
     # Force the derived configurations that a run would build, so invalid
     # combinations surface here and not mid-simulation.
-    try:
+    with _prefixed("scenario: derived configuration invalid"):
         design.system()
-        design.ramp_for(prior)
-    except (ConfigurationError, DomainError) as exc:
-        raise ConfigurationError(f"scenario: derived configuration invalid: {exc}") from exc
+        ramp = design.ramp_for(prior)
+    spp = max(design.steps_per_period, design.optimizer_steps_per_period)
+    if design.kind != "ideal" and not edge_steps_bound(ramp, tuning, spp) <= MAX_EDGE_STEPS:
+        raise ConfigurationError(
+            f"sequence: an edge may plan more than {MAX_EDGE_STEPS} integration steps"
+        )
+    with _prefixed("processing"):
+        processing.check_fft_length(longest)
 
     return Scenario(
-        name=scenario_name,
+        name=(name or "scenario") if top["name"] is None else top["name"],
         kind=kind,
-        tuning=tuning,
         design=design,
         processing=processing,
         prior=prior,
-        max_iterations=max_iterations,
+        max_iterations=run["max_iterations"],
         charge=charge,
         seed=seed,
         sweep_fringe_counts=sweep_counts,
         sweep_iterations=sweep_iterations,
         perturbation=perturbation,
         telegraph=telegraph,
-        description=description,
     )
 
 
@@ -420,6 +324,8 @@ def load_scenario(path, repeats_override: int | None = None) -> Scenario:
         raise ConfigurationError(
             f"{path}:{exc.lineno}: invalid JSON: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
     return parse_scenario(raw, name=path.stem, repeats_override=repeats_override)
 
 

@@ -9,10 +9,8 @@ rather than silently reconciled.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -142,15 +140,6 @@ class TelegraphNoise:
             switch_times.append(t)
         flips = np.searchsorted(np.asarray(switch_times), times, side="right")
         return level * np.where(flips % 2 == 0, 1.0, -1.0)
-
-    def write_trace(self, path, duration: float, dt: float, rng: np.random.Generator) -> None:
-        times = np.arange(0.0, duration, dt)
-        offsets = self.sample(times, rng)
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time_s", "offset_hz"])
-            for t, off in zip(times, offsets):
-                writer.writerow([f"{t:.12g}", f"{off:.12g}"])
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,9 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import iaspec as ia
 from iaspec.cli import main
+from iaspec.scenario import SCHEMA
 
 BASE_SCENARIO = {
     "name": "fast",
@@ -73,6 +77,13 @@ def test_run_ias_writes_the_full_artifact_set(tmp_path):
     ]
     assert manifest["seed"] == 11
     assert set(manifest["files"]) == set(names) - {"manifest.json"}
+    # The first pass is the two-fringe bootstrap; the second uses the design's four.
+    lines = (out / "iteration_02_trace.csv").read_text().splitlines()
+    assert lines[0] == "t_w_s,p_return,p_std"
+    assert len(lines) == 1 + 4 * 10 + 1
+    meta = json.loads((out / "iteration_02_trace.json").read_text())
+    assert meta["fringes"] == 4
+    assert meta["ramp_kind"] == "ideal"
 
 
 def test_reruns_are_byte_identical_modulo_wall_clock(tmp_path):
@@ -159,6 +170,25 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
         ("run-ias", {"sequence": {"samples_per_fringe": 1000000}}),
         ("fringe-sweep", {"kind": "fringe_sweep", "system": {"repeats": 1600},
                           "sweep": {"fringe_counts": [4, 64]}}),
+        ("run-ias", {"system": {"gamma_per_s": math.nan}}),
+        ("run-ias", {"system": {"gamma_per_s": math.inf}}),
+        ("run-ias", {"sequence": {"u_readout_v": -math.inf}}),
+        ("run-ias", {"system": {"gamma_per_s": 10**400}}),
+        ("run-ias", {"system": {"readout_noise_std": math.nan}}),
+        ("run-ias", {"sequence": {"u_initial_v": math.nan}}),
+        ("run-ias", {"tuning": {"splitting_hz": math.nan}}),
+        ("run-ias", {"filter": {"corner_hz": math.nan}}),
+        ("run-ias", {"telegraph": {"rate_hz": math.nan, "amplitude_hz": 1.0}}),
+        ("run-ias", {"telegraph": {}}),
+        ("run-ias", {"sweep": {"fringe_counts": [4]}}),
+        ("run-ias", {"perturbation": {"shift_true_hz": 3440.0}}),
+        ("run-ias", {"sequence": {"ramp_kind": "soft", "steps_per_period": 10**9}}),
+        ("run-ias", {"sequence": {"ramp_kind": "soft", "optimizer_steps_per_period": 10**9}}),
+        ("run-ias", {"sequence": {"ramp_kind": "soft", "edge_cycles": 1e300}}),
+        ("run-ias", {"sequence": {"ramp_kind": "soft"}, "processing": {"pad_factor": 10**9}}),
+        ("fringe-sweep", {"kind": "fringe_sweep", "sequence": {"ramp_kind": "soft"},
+                          "sweep": {"fringe_counts": [4, 64]},
+                          "processing": {"pad_factor": 2000}}),
     ],
     ids=[
         "fringes_1", "windowed_fringes_3", "samples_per_fringe_1", "ringdown_samples_2",
@@ -166,6 +196,11 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
         "optimizer_steps_per_period_1", "windowed_perturbation_fringes_2",
         "repeats_1e9", "ringdown_samples_1e8", "trace_samples_over_cap",
         "sweep_trace_samples_over_cap",
+        "gamma_nan", "gamma_infinity", "u_readout_minus_infinity", "gamma_1e400",
+        "readout_noise_std_nan", "u_initial_nan", "splitting_nan", "filter_corner_nan",
+        "telegraph_rate_nan", "telegraph_empty", "sweep_on_ias", "perturbation_on_ias",
+        "steps_per_period_1e9", "optimizer_steps_per_period_1e9", "edge_cycles_1e300",
+        "pad_factor_1e9", "sweep_fft_over_cap",
     ],
 )
 def test_invalid_sequences_fail_before_running(tmp_path, capsys, command, edits):
@@ -191,6 +226,90 @@ def test_overrides_are_held_to_the_shot_caps(tmp_path, capsys):
                  "--fringes", "4", "64"]) == 1
     assert "exceeds 50000000" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_fringe_override_is_held_to_the_fft_cap(tmp_path, capsys):
+    scenario = write_scenario(tmp_path, kind="fringe_sweep", sweep={"fringe_counts": [4]},
+                              processing={"pad_factor": 2000})
+    out = tmp_path / "out"
+    assert main(["fringe-sweep", str(scenario), "--out", str(out), "--fringes", "4", "64"]) == 1
+    assert "FFT cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_present_sections_are_read_in_full(tmp_path):
+    doc = json.loads(write_scenario(tmp_path).read_text())
+    assert ia.parse_scenario(doc).design.bandwidth_filter is None
+    assert ia.parse_scenario({**doc, "filter": {}}).design.bandwidth_filter == ia.FilterModel()
+    assert ia.parse_scenario({**doc, "processing": {}}).processing == ia.ProcessingOptions()
+    assert ia.parse_scenario({**doc, "telegraph": None}).telegraph is None
+    with pytest.raises(ia.ConfigurationError, match="processing: expected a JSON object"):
+        ia.parse_scenario({**doc, "processing": None})
+    with pytest.raises(ia.ConfigurationError, match=r"unknown keys \['sweep'\]"):
+        ia.parse_scenario({**doc, "kind": "perturbation", "sweep": {},
+                           "perturbation": {"shift_true_hz": 3440.0}})
+
+
+def test_unreadable_json_exits_one(tmp_path, capsys):
+    for name, text in [("digits", "{\"seed\": " + "1" * 5000 + "}"),
+                       ("nested", "[" * 100_000 + "]" * 100_000)]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        out = tmp_path / name
+        assert main(["run-ias", str(path), "--out", str(out)]) == 1
+        assert "invalid JSON" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _json_values():
+    special = st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -10**400, 2**64, 1e308])
+    leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    nested = st.recursive(
+        leaves,
+        lambda children: st.lists(children, max_size=3)
+        | st.dictionaries(st.text(max_size=6), children, max_size=3),
+        max_leaves=6,
+    )
+    return special | leaves | nested
+
+
+def _paths(doc, prefix=()):
+    """Every (container path, key) in a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix, key
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+_SCHEMA_KEYS = sorted(set(SCHEMA) | {key for fields in SCHEMA.values() for key, _, _ in fields})
+
+
+@pytest.mark.parametrize("name", ["baseline_run.json", "charge_step.json",
+                                  "fringe_sweep.json", "ramp_comparison.json"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_scenarios_parse_or_raise_configuration_error(name, data):
+    doc = json.loads(ia.bundled_path(name).read_text())
+    for _ in range(data.draw(st.integers(1, 3))):
+        prefix, key = data.draw(st.sampled_from(list(_paths(doc))))
+        container = doc
+        for step in prefix:
+            container = container[step]
+        action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "replace":
+            container[key] = data.draw(_json_values())
+        elif action == "delete":
+            del container[key]
+        elif isinstance(container, dict):
+            new_key = data.draw(st.sampled_from(_SCHEMA_KEYS) | st.text(max_size=6))
+            container[new_key] = data.draw(_json_values())
+        if not isinstance(doc, dict) or not doc:
+            break
+    try:
+        assert isinstance(ia.parse_scenario(doc), ia.Scenario)
+    except ia.ConfigurationError:
+        pass
 
 
 def test_fit_spectrum_on_the_bundled_fixture(tmp_path):
@@ -281,6 +400,8 @@ def test_show_pulse_file_sets_by_ramp_kind(tmp_path):
     ]
     doc = json.loads((out_soft / "pulse.json").read_text())
     assert "ramp_soft" in doc and "prior_hz" in doc
+    header = (out_soft / "pulse_soft.csv").read_text().splitlines()[0]
+    assert header == "time_s,voltage_V,detuning_rad_s"
 
     ideal = write_scenario(tmp_path, name="ideal")
     out_ideal = tmp_path / "ideal_out"

@@ -4,10 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import iaspec as ia
+from iaspec.pulse import edge_steps_bound
 
 from conftest import PRIOR, TRUTH, TWO_PI, make_design
 
@@ -243,8 +244,17 @@ def test_corrected_edge_infidelity_lower_at_true_system(
         assert corrected < soft
 
 
-def test_waveform_csv_header(soft_ramp_spec, tuning, tmp_path):
-    wf = ia.build_edge_waveform(soft_ramp_spec, tuning, "leading", 100)
-    path = tmp_path / "edge.csv"
-    wf.to_csv(path)
-    assert path.read_text().splitlines()[0] == "time_s,voltage_V,detuning_rad_s"
+@settings(deadline=None)
+@given(
+    cd=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    ratio=st.floats(0.0, 1.0),
+    steps_per_period=st.integers(200, 2000),
+)
+def test_edge_step_bound_covers_every_correction(soft_ramp_spec, tuning, cd, ratio,
+                                                  steps_per_period):
+    spec = replace(soft_ramp_spec, kind="corrected", c=cd[0], d=cd[1],
+                   c_trail=cd[2], d_trail=cd[3])
+    # any valid system: splitting at most a tenth of the initial detuning
+    omega0 = ratio * tuning.detuning(spec.u_initial) / 10.0
+    bound = edge_steps_bound(spec, tuning, steps_per_period)
+    assert ia.plan_edge_steps(spec, tuning, omega0, steps_per_period) <= math.ceil(bound)

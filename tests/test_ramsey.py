@@ -123,21 +123,6 @@ def test_corrected_ramp_preserves_visibility(calibrated_design, corrections):
     assert vis_corr > vis_soft
 
 
-def test_trace_csv_and_sidecar(ideal_trace, tmp_path):
-    csv_path = tmp_path / "trace.csv"
-    ideal_trace.to_csv(csv_path)
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "t_w_s,p_return,p_std"
-    assert len(lines) == 1 + len(ideal_trace)
-    sidecar = tmp_path / "trace.json"
-    ideal_trace.write_sidecar(sidecar)
-    import json
-
-    meta = json.loads(sidecar.read_text())
-    assert meta["fringes"] == 4
-    assert meta["ramp_kind"] == "ideal"
-
-
 def test_per_shot_noise_populates_p_std(tuning):
     design = make_design(tuning, noise_std=0.05, repeats=8)
     trace = ia.acquire_trace(design.config_for(TRUTH), seed=5)

@@ -83,15 +83,6 @@ def test_telegraph_validation():
         ia.TelegraphNoise(rate_hz=1.0, amplitude_hz=-1.0)
 
 
-def test_telegraph_trace_file(tmp_path):
-    noise = ia.TelegraphNoise(rate_hz=0.2, amplitude_hz=3440.0, enabled=True)
-    path = tmp_path / "telegraph.csv"
-    noise.write_trace(path, duration=100.0, dt=0.25, rng=np.random.default_rng(9))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "time_s,offset_hz"
-    assert len(lines) == 1 + 400
-
-
 def test_perturbation_scenario_validation(tuning):
     design = make_design(tuning, repeats=2)
     with pytest.raises(ia.DomainError):
