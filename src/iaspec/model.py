@@ -106,8 +106,8 @@ class ModeTuning:
     center_voltage: float = 0.0
 
     def __post_init__(self):
-        if self.center_frequency <= 0.0:
-            raise DomainError("tuning center frequency must be positive")
+        if not (0.0 < self.center_frequency < math.inf and math.isfinite(self.coefficient)):
+            raise DomainError("tuning center frequency must be positive, both finite")
 
     def frequency(self, voltage):
         """Bare angular frequency at the given voltage(s)."""

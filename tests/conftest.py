@@ -5,6 +5,7 @@ reference configuration places the avoided crossing at -8 V, initializes
 at -11.5 V, and reads out at -11.2 V; the true splitting (42.65 kHz) sits
 about 3% above the spectroscopic prior (41.3 kHz).
 """
+import json
 import math
 
 import pytest
@@ -21,6 +22,48 @@ PRIOR = TWO_PI * PRIOR_HZ
 
 U_INITIAL = -11.5
 U_READOUT = -11.2
+
+
+# A fast ideal-ramp scenario file for the command-line tests.
+BASE_SCENARIO = {
+    "name": "fast",
+    "kind": "ias",
+    "seed": 11,
+    "tuning": {
+        "oop_center_hz": 7045520.0,
+        "ip_center_hz": 7514000.0,
+        "oop_coefficient_hz_per_v2": 3660.0,
+        "ip_coefficient_hz_per_v2": -3660.0,
+        "center_voltage_v": 0.0,
+        "splitting_hz": 41300.0,
+    },
+    "system": {
+        "splitting_true_hz": 42650.0,
+        "gamma_per_s": 150.0,
+        "readout_noise_std": 0.0,
+        "repeats": 2,
+    },
+    "sequence": {
+        "u_initial_v": -11.5,
+        "u_readout_v": -11.2,
+        "ramp_kind": "ideal",
+        "fringes": 4,
+        "samples_per_fringe": 10,
+    },
+    "run": {"prior_hz": 41300.0, "max_iterations": 2},
+}
+
+
+def write_scenario(tmp_path, name="scenario", **edits):
+    doc = json.loads(json.dumps(BASE_SCENARIO))
+    for key, value in edits.items():
+        if isinstance(value, dict) and key in doc:
+            doc[key].update(value)
+        else:
+            doc[key] = value
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc, indent=2))
+    return path
 
 
 def make_tuning(splitting_hz: float = PRIOR_HZ) -> ia.TuningModel:

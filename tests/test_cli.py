@@ -15,45 +15,7 @@ import iaspec as ia
 from iaspec.cli import main
 from iaspec.scenario import SCHEMA
 
-BASE_SCENARIO = {
-    "name": "fast",
-    "kind": "ias",
-    "seed": 11,
-    "tuning": {
-        "oop_center_hz": 7045520.0,
-        "ip_center_hz": 7514000.0,
-        "oop_coefficient_hz_per_v2": 3660.0,
-        "ip_coefficient_hz_per_v2": -3660.0,
-        "center_voltage_v": 0.0,
-        "splitting_hz": 41300.0,
-    },
-    "system": {
-        "splitting_true_hz": 42650.0,
-        "gamma_per_s": 150.0,
-        "readout_noise_std": 0.0,
-        "repeats": 2,
-    },
-    "sequence": {
-        "u_initial_v": -11.5,
-        "u_readout_v": -11.2,
-        "ramp_kind": "ideal",
-        "fringes": 4,
-        "samples_per_fringe": 10,
-    },
-    "run": {"prior_hz": 41300.0, "max_iterations": 2},
-}
-
-
-def write_scenario(tmp_path, name="scenario", **edits):
-    doc = json.loads(json.dumps(BASE_SCENARIO))
-    for key, value in edits.items():
-        if isinstance(value, dict) and key in doc:
-            doc[key].update(value)
-        else:
-            doc[key] = value
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(doc, indent=2))
-    return path
+from conftest import write_scenario
 
 
 def test_run_ias_writes_the_full_artifact_set(tmp_path):
@@ -189,6 +151,8 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
         ("fringe-sweep", {"kind": "fringe_sweep", "sequence": {"ramp_kind": "soft"},
                           "sweep": {"fringe_counts": [4, 64]},
                           "processing": {"pad_factor": 2000}}),
+        ("run-ias", {"sequence": {"ramp_kind": "soft"},
+                     "tuning": {"oop_coefficient_hz_per_v2": 1e308}}),
     ],
     ids=[
         "fringes_1", "windowed_fringes_3", "samples_per_fringe_1", "ringdown_samples_2",
@@ -200,7 +164,7 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
         "readout_noise_std_nan", "u_initial_nan", "splitting_nan", "filter_corner_nan",
         "telegraph_rate_nan", "telegraph_empty", "sweep_on_ias", "perturbation_on_ias",
         "steps_per_period_1e9", "optimizer_steps_per_period_1e9", "edge_cycles_1e300",
-        "pad_factor_1e9", "sweep_fft_over_cap",
+        "pad_factor_1e9", "sweep_fft_over_cap", "oop_coefficient_overflows_rad_s",
     ],
 )
 def test_invalid_sequences_fail_before_running(tmp_path, capsys, command, edits):

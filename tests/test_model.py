@@ -27,6 +27,13 @@ def test_mode_tuning_rejects_nonpositive_center():
         ia.ModeTuning(center_frequency=0.0, coefficient=10.0)
 
 
+@pytest.mark.parametrize("center, coefficient", [(math.inf, 10.0), (1.0, math.inf),
+                                                 (1.0, -math.inf), (1.0, math.nan)])
+def test_mode_tuning_rejects_non_finite_parameters(center, coefficient):
+    with pytest.raises(ia.DomainError):
+        ia.ModeTuning(center_frequency=center, coefficient=coefficient)
+
+
 def test_crossing_voltages_solve_exactly(tuning):
     lo, hi = tuning.crossing_voltages()
     assert lo == pytest.approx(-CROSSING_V, abs=1e-9)

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import iaspec as ia
+from iaspec.cli import main
 from iaspec.pulse import edge_steps_bound
 
-from conftest import PRIOR, TRUTH, TWO_PI, make_design
+from conftest import PRIOR, TRUTH, TWO_PI, make_design, write_scenario
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +243,22 @@ def test_corrected_edge_infidelity_lower_at_true_system(
         corrected = ia.edge_infidelity(true_system, ramp_corr, tuning, edge)
         soft = ia.edge_infidelity(true_system, ramp_soft, tuning, edge)
         assert corrected < soft
+
+
+def test_waveform_csv_header(tmp_path):
+    scenario = write_scenario(tmp_path, sequence={"ramp_kind": "soft"}, filter={})
+    out = tmp_path / "out"
+    assert main(["show-pulse", str(scenario), "--out", str(out)]) == 0
+    # The raw and the filtered waveform share the header and the time axis.
+    columns = []
+    for name in ("pulse_soft.csv", "pulse_soft_filtered.csv"):
+        lines = (out / name).read_text().splitlines()
+        assert lines[0] == "time_s,voltage_V,detuning_rad_s"
+        columns.append(np.array([[float(v) for v in line.split(",")] for line in lines[1:]]))
+    raw, filtered = columns
+    assert raw.shape == filtered.shape and raw.shape[1] == 3
+    assert np.array_equal(raw[:, 0], filtered[:, 0])
+    assert np.all(np.diff(raw[:, 0]) > 0)
 
 
 @settings(deadline=None)

@@ -1,12 +1,14 @@
 """The five-step measurement sequence and fringe-trace acquisition."""
+import json
 import math
 
 import numpy as np
 import pytest
 
 import iaspec as ia
+from iaspec.cli import main
 
-from conftest import PRIOR, SEED, TRUTH, TRUTH_HZ, make_design
+from conftest import PRIOR, SEED, TRUTH, TRUTH_HZ, make_design, write_scenario
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +123,22 @@ def test_corrected_ramp_preserves_visibility(calibrated_design, corrections):
     assert vis_corr > 0.5
     assert vis_soft < 0.2
     assert vis_corr > vis_soft
+
+
+def test_trace_csv_and_sidecar(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run-ias", str(write_scenario(tmp_path)), "--out", str(out)]) == 0
+    # Each iteration's trace CSV holds the samples its sidecar describes.
+    for stem in ("iteration_01", "iteration_02"):
+        lines = (out / f"{stem}_trace.csv").read_text().splitlines()
+        meta = json.loads((out / f"{stem}_trace.json").read_text())
+        assert lines[0] == "t_w_s,p_return,p_std"
+        assert len(lines) == 1 + meta["fringes"] * meta["samples_per_fringe"] + 1
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert rows[0, 0] == 0.0 and np.all(np.diff(rows[:, 0]) > 0)
+        assert np.all((rows[:, 1] >= 0.0) & (rows[:, 1] <= 1.0))
+    assert meta["fringes"] == 4
+    assert meta["ramp_kind"] == "ideal"
 
 
 def test_per_shot_noise_populates_p_std(tuning):

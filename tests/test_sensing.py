@@ -6,8 +6,9 @@ import pytest
 from scipy.constants import e as ELEMENTARY_CHARGE
 
 import iaspec as ia
+from iaspec.cli import main
 
-from conftest import PRIOR, TWO_PI, make_design
+from conftest import PRIOR, TWO_PI, make_design, write_scenario
 
 VOLUME_M3 = 55e-6 * 250e-9 * 100e-9
 RESPONSE = 26.0
@@ -81,6 +82,23 @@ def test_telegraph_validation():
         ia.TelegraphNoise(rate_hz=0.0, amplitude_hz=1.0)
     with pytest.raises(ia.ConfigurationError):
         ia.TelegraphNoise(rate_hz=1.0, amplitude_hz=-1.0)
+
+
+def test_telegraph_trace_file(tmp_path):
+    scenario = write_scenario(
+        tmp_path, kind="perturbation",
+        perturbation={"shift_true_hz": 3440.0, "n_runs": 1},
+        telegraph={"rate_hz": 0.2, "amplitude_hz": 3440.0, "enabled": True},
+    )
+    out = tmp_path / "out"
+    assert main(["sense", str(scenario), "--out", str(out)]) == 0
+    lines = (out / "telegraph_switching.csv").read_text().splitlines()
+    assert lines[0] == "time_s,offset_hz"
+    assert len(lines) == 1 + 400
+    # 20 mean dwells (100 s at 0.2 Hz) sampled every 0.25 s
+    times = np.array([float(line.split(",")[0]) for line in lines[1:]])
+    assert times[0] == 0.0
+    assert np.allclose(np.diff(times), 0.25)
 
 
 def test_perturbation_scenario_validation(tuning):
