@@ -50,15 +50,11 @@ from .pulse import (
     plan_edge_steps,
 )
 from .dynamics import (
-    ModeState,
     RingdownRecord,
     SystemParams,
-    crossing_rotation,
     crossing_rotations,
     draw_shots,
     edge_propagator,
-    evolve,
-    free_evolution,
     ringdown_readouts,
     simulate_ringdown,
 )

@@ -71,6 +71,8 @@ class SystemParams:
     def __post_init__(self):
         if self.omega0_true <= 0.0:
             raise DomainError("splitting must be positive")
+        if not math.isfinite(self.delta0):
+            raise DomainError(f"initialization detuning {self.delta0} rad/s is not finite")
         if self.delta0 < MIN_DETUNING_RATIO * self.omega0_true:
             raise DomainError(
                 "initialization detuning too small: "
@@ -84,40 +86,6 @@ class SystemParams:
             raise DomainError("noise std must be non-negative")
         if self.repeats < 1:
             raise DomainError("repeats must be at least 1")
-
-
-@dataclass
-class ModeState:
-    """Complex amplitude pair (out-of-plane, in-plane); norm <= 1."""
-
-    a_oop: complex
-    a_ip: complex
-
-    def __post_init__(self):
-        if self.norm() > 1.0 + 1e-9:
-            raise DomainError(f"state norm {self.norm():.12g} exceeds 1")
-
-    @classmethod
-    def in_plane(cls) -> "ModeState":
-        return cls(0.0 + 0.0j, 1.0 + 0.0j)
-
-    @classmethod
-    def out_of_plane(cls) -> "ModeState":
-        return cls(1.0 + 0.0j, 0.0 + 0.0j)
-
-    def vector(self) -> np.ndarray:
-        return np.array([self.a_oop, self.a_ip], dtype=complex)
-
-    def norm(self) -> float:
-        return math.sqrt(abs(self.a_oop) ** 2 + abs(self.a_ip) ** 2)
-
-    @property
-    def population_oop(self) -> float:
-        return abs(self.a_oop) ** 2
-
-    @property
-    def population_ip(self) -> float:
-        return abs(self.a_ip) ** 2
 
 
 def _validate_step(waveform: PulseWaveform, params: SystemParams) -> float:
@@ -186,20 +154,6 @@ def edge_propagator(waveform: PulseWaveform, params: SystemParams) -> np.ndarray
     return np.array([r[0] for r in steps]).reshape(2, 2)
 
 
-def evolve(state: ModeState, waveform: PulseWaveform, params: SystemParams) -> ModeState:
-    """Propagate a state through one sampled edge (fixed-step RK4).
-
-    Raises ConfigurationError before integrating if the waveform sampling
-    violates the steps-per-period floor.
-    """
-    a = edge_propagator(waveform, params) @ state.vector()
-    return ModeState(complex(a[0]), complex(a[1]))
-
-
-def _draws_kick(t_w: float, params: SystemParams) -> bool:
-    return math.isfinite(params.dephasing_time) and t_w > 0.0
-
-
 def draw_shots(
     point_seed: np.random.SeedSequence, t_w: float, params: SystemParams, n_samples: int
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -211,7 +165,7 @@ def draw_shots(
     noise), shapes (repeats,) and (repeats, n_samples), None for a draw
     no shot makes; when neither is made no stream is built.
     """
-    kicked = int(_draws_kick(t_w, params))
+    kicked = int(math.isfinite(params.dephasing_time) and t_w > 0.0)
     n_noise = n_samples if params.noise_std > 0.0 else 0
     if not kicked + n_noise:
         return None, None
@@ -243,26 +197,6 @@ def crossing_rotations(
     damp = math.exp(-0.5 * params.gamma * t_w)
     cos, sin = np.cos(0.5 * chi), np.sin(0.5 * chi)
     return damp * np.array([cos * a[0] - 1.0j * sin * a[1], cos * a[1] - 1.0j * sin * a[0]])
-
-
-def crossing_rotation(
-    a: np.ndarray, t_w: float, params: SystemParams, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """One shot of `crossing_rotations`, its kick drawn from rng.
-
-    The kick is drawn only for t_w > 0 and a finite T_d; deterministic
-    callers (rng None) get the kick-free rotation.
-    """
-    kicks = rng.standard_normal(1) if rng is not None and _draws_kick(t_w, params) else None
-    return crossing_rotations(a, t_w, params, kicks)[:, 0]
-
-
-def free_evolution(
-    state: ModeState, t_w: float, params: SystemParams, rng: np.random.Generator | None = None
-) -> ModeState:
-    """Wait at the crossing for t_w seconds; see `crossing_rotation`."""
-    a = crossing_rotation(state.vector(), t_w, params, rng)
-    return ModeState(complex(a[0]), complex(a[1]))
 
 
 @dataclass

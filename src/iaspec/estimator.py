@@ -370,10 +370,12 @@ def fringe_sweep(
     """Estimate quality versus trace length.
 
     For each fringe count the refinement loop runs a fixed number of
-    iterations (no early stop), then the final trace is estimated (a) raw
-    and (b) through the processing pipeline where the fringe count allows
-    windowing. Rows report Hz and carry a per-row error string instead of
-    failing the whole sweep when windowing is impossible.
+    iterations (no early stop); its final trace is estimated (a) raw and
+    (b) through the processing pipeline where the fringe count allows
+    windowing. The last pass already made whichever of the two it ran, so
+    only a windowed row estimates its trace once more, raw. Rows report Hz
+    and carry a per-row error string instead of failing the whole sweep
+    when windowing is impossible.
 
     At least two iterations are required: the first pass is always the
     coarse two-fringe bootstrap, so a single-iteration sweep would compare
@@ -396,42 +398,29 @@ def fringe_sweep(
     for n, design_n in zip(fringe_counts, designs):
         windowable = n >= MIN_FRINGES_WINDOWED and options.window != "none"
         pass_options = options if windowable else raw_options
-        result = ias_run(
+        last = ias_run(
             design_n,
             prior=prior,
             seed=_iteration_seed(seed, n),
             max_iterations=iterations,
             tolerance=0.0,
             options=pass_options,
-            keep_traces=True,
+            keep_traces=windowable,
+        ).records[-1]
+        passed = (last.estimate, last.uncertainty, last.bin_width)
+        raw = passed
+        if windowable:
+            raw_record = estimate_frequency(last.trace, raw_options)
+            raw_repeats = _per_repeat_estimates(last.trace, raw_options)
+            raw_std = float(raw_repeats.std(ddof=1)) if len(raw_repeats) > 1 else 0.0
+            raw = (raw_record.omega_rad_s, raw_std, raw_record.bin_width_rad_s)
+        processed = passed if windowable or options.window == "none" else (None,) * 3
+        row = {"fringes": n, "iterations": iterations}
+        for prefix, values in (("raw", raw), ("processed", processed)):
+            for suffix, value in zip(("hz", "std_hz", "bin_hz"), values):
+                row[f"{prefix}_{suffix}"] = None if value is None else value / TWO_PI
+        row["processed_error"] = None if processed[0] is not None else (
+            f"windowed processing needs >= {MIN_FRINGES_WINDOWED} fringes"
         )
-        trace = result.records[-1].trace
-        raw_record = estimate_frequency(trace, raw_options)
-        raw_repeats = _per_repeat_estimates(trace, raw_options)
-        row = {
-            "fringes": n,
-            "iterations": iterations,
-            "raw_hz": raw_record.frequency_hz,
-            "raw_std_hz": float(raw_repeats.std(ddof=1) / TWO_PI)
-            if len(raw_repeats) > 1
-            else 0.0,
-            "raw_bin_hz": raw_record.bin_width_rad_s / TWO_PI,
-            "processed_hz": None,
-            "processed_std_hz": None,
-            "processed_bin_hz": None,
-            "processed_error": None,
-        }
-        if windowable or options.window == "none":
-            proc_record = estimate_frequency(trace, options)
-            proc_repeats = _per_repeat_estimates(trace, options)
-            row["processed_hz"] = proc_record.frequency_hz
-            row["processed_std_hz"] = (
-                float(proc_repeats.std(ddof=1) / TWO_PI) if len(proc_repeats) > 1 else 0.0
-            )
-            row["processed_bin_hz"] = proc_record.bin_width_rad_s / TWO_PI
-        else:
-            row["processed_error"] = (
-                f"windowed processing needs >= {MIN_FRINGES_WINDOWED} fringes"
-            )
         rows.append(row)
     return rows

@@ -110,10 +110,16 @@ class ModeTuning:
             raise DomainError("tuning center frequency must be positive, both finite")
 
     def frequency(self, voltage):
-        """Bare angular frequency at the given voltage(s)."""
+        """Bare angular frequency at the given voltage(s).
+
+        A scalar is evaluated in Python floats, which overflow to inf
+        without a RuntimeWarning; validators reject the non-finite value.
+        """
+        if np.isscalar(voltage):
+            du = float(voltage) - self.center_voltage
+            return float(self.center_frequency + self.coefficient * du * du)
         du = np.asarray(voltage, dtype=float) - self.center_voltage
-        out = self.center_frequency + self.coefficient * du * du
-        return float(out) if np.isscalar(voltage) else out
+        return self.center_frequency + self.coefficient * du * du
 
 
 @dataclass(frozen=True)

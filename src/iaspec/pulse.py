@@ -26,14 +26,21 @@ RAMP_KINDS = ("soft", "corrected", "ideal")
 # Minimum waveform samples per period of the highest correction harmonic.
 MIN_SAMPLES_PER_HARMONIC = 50
 
-# Coefficient search box for the correction optimizer.
+# Coefficient search box for the correction optimizer, and the points per
+# axis of the coarse grid that seeds its refinement.
 CORRECTION_BOUND = 1.0
+CORRECTION_GRID_POINTS = 5
 
 # Cap on the integration steps one edge may plan, checked against
 # `edge_steps_bound` before a scenario runs. The edge kernel holds about
 # 0.4 kB per step, 200 MB at the cap; bundled scenarios plan about 1.0e4
 # steps per edge and bound 6.3e4.
 MAX_EDGE_STEPS = 500_000
+
+# Cap on the samples of one `build_sequence_waveform` pulse, checked before
+# any is allocated: 24 MB for its three arrays. show-pulse samples each
+# edge duration 2000 times and writes 7001 samples by default.
+MAX_WAVEFORM_SAMPLES = 1_000_000
 
 # Above this end-of-edge infidelity the optimizer result carries a warning.
 STAGNATION_INFIDELITY = 0.2
@@ -243,14 +250,17 @@ def edge_steps_bound(spec: RampSpec, tuning: TuningModel, steps_per_period: int)
     """
     from .dynamics import MIN_DETUNING_RATIO
 
-    widen, peak_sq = 3.0 * CORRECTION_BOUND, 0.0
+    widen, peaks_sq = 3.0 * CORRECTION_BOUND, []
     for edge in ("leading", "trailing"):
         _, _, u_start, u_end = spec.edge_span(edge)
         lo, hi = sorted((u_start - widen * (u_end - u_start), u_end + widen * (u_end - u_start)))
-        u = np.array([lo, hi, min(max(tuning.oop.center_voltage, lo), hi)])
-        peak_sq = max(peak_sq, float(np.max(tuning.detuning(u) ** 2)))
-    if not math.isfinite(2.0 * peak_sq):  # w_max itself would overflow
+        # Scalar detunings and their products overflow to inf, not to a warning.
+        for u in (lo, hi, min(max(tuning.oop.center_voltage, lo), hi)):
+            delta = tuning.detuning(u)
+            peaks_sq.append(delta * delta)
+    if not all(math.isfinite(2.0 * p) for p in peaks_sq):  # w_max itself would overflow
         return math.inf
+    peak_sq = max(peaks_sq)
     return _edge_steps(spec, peak_sq, math.sqrt(peak_sq) / MIN_DETUNING_RATIO, steps_per_period)
 
 
@@ -260,7 +270,11 @@ def build_sequence_waveform(
     """Full pulse U(t) including plateaus, for inspection and export."""
     if sample_period <= 0.0:
         raise ConfigurationError("sample period must be positive")
-    t = np.arange(spec.t0 - margin, spec.tr + margin + 0.5 * sample_period, sample_period)
+    start, stop = spec.t0 - margin, spec.tr + margin + 0.5 * sample_period
+    # np.arange makes ceil((stop - start) / step) samples.
+    if not (stop - start) / sample_period <= MAX_WAVEFORM_SAMPLES:
+        raise ConfigurationError(f"pulse waveform would exceed {MAX_WAVEFORM_SAMPLES} samples")
+    t = np.arange(start, stop, sample_period)
     u = np.select(
         [t <= spec.t0, t < spec.ts, t <= spec.tf, t < spec.tr],
         [
@@ -315,20 +329,11 @@ def filter_signal(values, sample_period: float, filt: FilterModel) -> np.ndarray
 
 
 def apply_bandwidth_filter(
-    waveform: PulseWaveform, filt: FilterModel, tuning: TuningModel | None = None
+    waveform: PulseWaveform, filt: FilterModel, tuning: TuningModel
 ) -> PulseWaveform:
-    """Filter the voltage channel; recompute or filter the detuning channel.
-
-    With a tuning model the detuning is re-derived from the filtered voltage
-    (the physical picture); without one, the detuning array is filtered
-    directly, which keeps the operation exactly linear per channel.
-    """
+    """Filter the voltage channel and re-derive the detuning from it."""
     voltage = filter_signal(waveform.voltage, waveform.sample_period, filt)
-    if tuning is not None:
-        detuning = tuning.detuning(voltage)
-    else:
-        detuning = filter_signal(waveform.detuning, waveform.sample_period, filt)
-    return PulseWaveform(waveform.time, voltage, detuning, waveform.sample_period)
+    return PulseWaveform(waveform.time, voltage, tuning.detuning(voltage), waveform.sample_period)
 
 
 @dataclass(frozen=True)
@@ -373,15 +378,14 @@ def optimize_correction(
     spec: RampSpec,
     tuning: TuningModel,
     edge: str,
-    grid_points: int = 5,
     steps_per_period: int = 200,
 ) -> CorrectionResult:
     """Find first-harmonic coefficients minimizing end-of-edge leakage.
 
-    Coarse grid over the box |c|, |d| <= 1 seeds a Nelder-Mead refinement;
-    the soft ramp (0, 0) is always among the candidates, so the optimized
-    edge never does worse than the soft one. Results above infidelity 0.2
-    carry a warning (value still returned).
+    A coarse grid, CORRECTION_GRID_POINTS per axis over the box |c|, |d| <= 1,
+    seeds a Nelder-Mead refinement; the soft ramp (0, 0) is always among the
+    candidates, so the optimized edge never does worse than the soft one.
+    Results above infidelity 0.2 carry a warning (value still returned).
 
     The objective is evaluated against the splitting stored in `system`:
     pass the current prior-based parameters, not the hidden truth, to mimic
@@ -404,7 +408,7 @@ def optimize_correction(
             trial = replace(base, c_trail=c, d_trail=d)
         return edge_infidelity(system, trial, tuning, edge, steps_per_period, fixed_peak_sq)
 
-    grid = np.linspace(-CORRECTION_BOUND, CORRECTION_BOUND, grid_points)
+    grid = np.linspace(-CORRECTION_BOUND, CORRECTION_BOUND, CORRECTION_GRID_POINTS)
     if 0.0 not in grid:
         grid = np.sort(np.append(grid, 0.0))
     soft_inf = infidelity((0.0, 0.0))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dynamics, pulse
-from .dynamics import ModeState, SystemParams
+from .dynamics import SystemParams
 from .errors import (
     ConfigurationError,
     TraceError,
@@ -131,7 +131,7 @@ def _measure_points(config: RamseyConfig, t_w_values: np.ndarray, seed: int) -> 
     """
     k_lead, k_trail, edge_time = _edge_propagators(config)
     params = config.system
-    a_cross = k_lead @ ModeState.in_plane().vector()
+    a_cross = k_lead[:, 1]  # the in-plane mode (0, 1) after the leading edge
     out = np.empty((len(t_w_values), params.repeats))
     for i, t_w in enumerate(t_w_values):
         point_seed = np.random.SeedSequence(entropy=seed, spawn_key=(i,))

@@ -10,7 +10,7 @@ rather than silently reconciled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -146,9 +146,10 @@ class TelegraphNoise:
 class PerturbationScenario:
     """A charge step sensed by comparing splitting estimates.
 
-    `design` describes the unperturbed system; the perturbed system is the
-    same design with the true splitting shifted by `shift_true` (rad/s).
-    `prior` is the initial spectroscopic guess fed to the refinement loop.
+    `design` describes the unperturbed system; `perturbed`, built and
+    validated on construction, is the same design with the true splitting
+    shifted by `shift_true` (rad/s). `prior` is the initial spectroscopic
+    guess fed to the refinement loop.
     """
 
     design: SequenceDesign
@@ -157,12 +158,16 @@ class PerturbationScenario:
     n_runs: int = 5
     max_iterations: int = 6
     charge: ChargeModel = ChargeModel()
+    perturbed: SequenceDesign = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.prior <= 0.0:
             raise DomainError("prior must be positive")
         if self.n_runs < 1:
             raise ConfigurationError("need at least one run per side")
+        perturbed = replace(self.design, omega0_true=self.design.omega0_true + self.shift_true)
+        perturbed.system()  # the shifted splitting must still make a valid system
+        object.__setattr__(self, "perturbed", perturbed)
 
 
 def _two_fringe_estimate(design: SequenceDesign, prior: float, seed: int) -> float:
@@ -191,10 +196,7 @@ def run_perturbation_experiment(
     two-fringe measurement runs alongside for comparison; its shift is
     flagged when it misses the refined shift by more than 5%.
     """
-    design = scenario.design
-    perturbed_design = replace(
-        design, omega0_true=design.omega0_true + scenario.shift_true
-    )
+    design, perturbed_design = scenario.design, scenario.perturbed
     sides = {}
     bins = []
     for side_index, (label, side_design, side_prior) in enumerate(

@@ -153,6 +153,9 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
                           "processing": {"pad_factor": 2000}}),
         ("run-ias", {"sequence": {"ramp_kind": "soft"},
                      "tuning": {"oop_coefficient_hz_per_v2": 1e308}}),
+        ("run-ias", {"tuning": {"oop_coefficient_hz_per_v2": 1e307}}),
+        ("sense", {"kind": "perturbation", "perturbation": {"shift_true_hz": 10000.0}}),
+        ("sense", {"kind": "perturbation", "perturbation": {"shift_true_hz": -42650.0}}),
     ],
     ids=[
         "fringes_1", "windowed_fringes_3", "samples_per_fringe_1", "ringdown_samples_2",
@@ -165,8 +168,11 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
         "telegraph_rate_nan", "telegraph_empty", "sweep_on_ias", "perturbation_on_ias",
         "steps_per_period_1e9", "optimizer_steps_per_period_1e9", "edge_cycles_1e300",
         "pad_factor_1e9", "sweep_fft_over_cap", "oop_coefficient_overflows_rad_s",
+        "oop_coefficient_overflows_detuning", "perturbed_detuning_ratio_below_10",
+        "perturbed_splitting_zero",
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_invalid_sequences_fail_before_running(tmp_path, capsys, command, edits):
     scenario = write_scenario(tmp_path, **edits)
     out = tmp_path / "out"
@@ -249,6 +255,7 @@ def _paths(doc, prefix=()):
 _SCHEMA_KEYS = sorted(set(SCHEMA) | {key for fields in SCHEMA.values() for key, _, _ in fields})
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", ["baseline_run.json", "charge_step.json",
                                   "fringe_sweep.json", "ramp_comparison.json"])
 @settings(max_examples=150, deadline=None)
@@ -373,6 +380,14 @@ def test_show_pulse_file_sets_by_ramp_kind(tmp_path):
     assert sorted(p.name for p in out_ideal.iterdir()) == [
         "manifest.json", "pulse.json",
     ]
+
+
+def test_show_pulse_is_held_to_the_waveform_sample_cap(tmp_path, capsys):
+    soft = write_scenario(tmp_path, name="soft", sequence={"ramp_kind": "soft"})
+    out = tmp_path / "out"
+    assert main(["show-pulse", str(soft), "--out", str(out), "--wait-fringes", "1e6"]) == 1
+    assert f"exceed {ia.pulse.MAX_WAVEFORM_SAMPLES} samples" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_show_pulse_on_the_bundled_comparison_scenario(tmp_path):

@@ -1,4 +1,7 @@
-"""Two-mode propagation, free evolution, dephasing, and ringdown readout."""
+"""Two-mode propagation, free evolution, dephasing, and ringdown readout.
+
+States are plain complex amplitude vectors (a_oop, a_ip).
+"""
 import math
 from dataclasses import dataclass, replace
 
@@ -14,6 +17,8 @@ from conftest import PRIOR, TRUTH, TWO_PI, make_design
 
 OMEGA0 = TWO_PI * 42650.0
 PARAMS = ia.SystemParams(omega0_true=OMEGA0, delta0=20 * OMEGA0)
+IN_PLANE = np.array([0.0, 1.0], dtype=complex)
+OUT_OF_PLANE = np.array([1.0, 0.0], dtype=complex)
 
 
 @dataclass
@@ -23,16 +28,16 @@ class TrajectoryRecord:
     time: np.ndarray
     population_oop: np.ndarray
     population_ip: np.ndarray
-    final_state: ia.ModeState
+    final_state: np.ndarray
 
 
 def evolve_trajectory(
-    state: ia.ModeState, waveform: ia.PulseWaveform, params: ia.SystemParams
+    state: np.ndarray, waveform: ia.PulseWaveform, params: ia.SystemParams
 ) -> TrajectoryRecord:
     """Plain sequential RK4 loop recording every step.
 
-    Independent of the batched propagator construction in `ia.evolve`,
-    against which it serves as the reference.
+    Independent of the batched propagator construction in
+    `ia.edge_propagator`, against which it serves as the reference.
     """
     dt = 2.0 * waveform.sample_period
     delta = waveform.detuning
@@ -48,7 +53,7 @@ def evolve_trajectory(
             ]
         )
 
-    a = state.vector()
+    a = np.array(state, dtype=complex)
     n_steps = (len(waveform.time) - 1) // 2
     samples = [a.copy()]
     for k in range(n_steps):
@@ -64,7 +69,7 @@ def evolve_trajectory(
         time=waveform.time[::2],
         population_oop=np.abs(arr[:, 0]) ** 2,
         population_ip=np.abs(arr[:, 1]) ** 2,
-        final_state=ia.ModeState(complex(arr[-1, 0]), complex(arr[-1, 1])),
+        final_state=arr[-1],
     )
 
 
@@ -97,13 +102,6 @@ def test_system_params_validation():
         ia.SystemParams(omega0_true=OMEGA0, delta0=20 * OMEGA0, repeats=0)
 
 
-def test_mode_state_rejects_unnormalized_amplitudes():
-    with pytest.raises(ia.DomainError, match="norm"):
-        ia.ModeState(1.2 + 0j, 0.9 + 0j)
-    assert ia.ModeState.in_plane().population_ip == 1.0
-    assert ia.ModeState.out_of_plane().population_oop == 1.0
-
-
 def test_detuned_exchange_follows_the_closed_form():
     # Constant detuning: population transfer is sinusoidal at the
     # generalized frequency with visibility (splitting/generalized)^2.
@@ -111,20 +109,18 @@ def test_detuned_exchange_follows_the_closed_form():
     w_gen = math.hypot(delta, OMEGA0)
     duration = 3 * TWO_PI / w_gen
     wf = const_waveform(delta, duration, 1200)
-    record = evolve_trajectory(ia.ModeState.in_plane(), wf, PARAMS)
+    record = evolve_trajectory(IN_PLANE, wf, PARAMS)
     visibility = OMEGA0**2 / w_gen**2
     expected = visibility * np.sin(0.5 * w_gen * record.time) ** 2
     assert np.max(np.abs(record.population_oop - expected)) < 1e-9
 
 
 def test_resonant_full_and_half_period_exchange():
-    full = ia.evolve(ia.ModeState.in_plane(),
-                     const_waveform(0.0, TWO_PI / OMEGA0, 400), PARAMS)
-    assert full.population_ip == pytest.approx(1.0, abs=1e-9)
-    assert full.population_oop < 1e-9
-    half = ia.evolve(ia.ModeState.in_plane(),
-                     const_waveform(0.0, math.pi / OMEGA0, 200), PARAMS)
-    assert half.population_oop == pytest.approx(1.0, abs=1e-9)
+    full = ia.edge_propagator(const_waveform(0.0, TWO_PI / OMEGA0, 400), PARAMS) @ IN_PLANE
+    assert abs(full[1]) ** 2 == pytest.approx(1.0, abs=1e-9)
+    assert abs(full[0]) ** 2 < 1e-9
+    half = ia.edge_propagator(const_waveform(0.0, math.pi / OMEGA0, 200), PARAMS) @ IN_PLANE
+    assert abs(half[0]) ** 2 == pytest.approx(1.0, abs=1e-9)
 
 
 def test_integrator_is_fourth_order():
@@ -136,12 +132,11 @@ def test_integrator_is_fourth_order():
         [c - 1j * s * delta / w_gen, -1j * s * OMEGA0 / w_gen],
         [-1j * s * OMEGA0 / w_gen, c + 1j * s * delta / w_gen],
     ])
-    exact = u @ np.array([0.0, 1.0], dtype=complex)
+    exact = u @ IN_PLANE
     errors = []
     for n in (600, 1200):
-        final = ia.evolve(ia.ModeState.in_plane(), const_waveform(delta, duration, n),
-                          PARAMS)
-        errors.append(np.linalg.norm(final.vector() - exact))
+        final = ia.edge_propagator(const_waveform(delta, duration, n), PARAMS) @ IN_PLANE
+        errors.append(np.linalg.norm(final - exact))
     assert 10.0 < errors[0] / errors[1] < 22.0
 
 
@@ -149,21 +144,19 @@ def test_time_reversal_with_conjugation_returns_the_start():
     wf = shaped_waveform()
     wf_rev = ia.PulseWaveform(wf.time, wf.voltage, wf.detuning[::-1].copy(),
                               sample_period=wf.sample_period)
-    psi0 = ia.ModeState.in_plane()
-    mid = ia.evolve(psi0, wf, PARAMS)
-    mid_conj = ia.ModeState(mid.a_oop.conjugate(), mid.a_ip.conjugate())
-    back = ia.evolve(mid_conj, wf_rev, PARAMS)
-    assert np.linalg.norm(back.vector() - np.conj(psi0.vector())) < 1e-8
+    mid = ia.edge_propagator(wf, PARAMS) @ IN_PLANE
+    back = ia.edge_propagator(wf_rev, PARAMS) @ np.conj(mid)
+    assert np.linalg.norm(back - np.conj(IN_PLANE)) < 1e-8
 
 
 def test_undamped_evolution_preserves_the_norm():
-    final = ia.evolve(ia.ModeState.in_plane(), shaped_waveform(), PARAMS)
-    assert abs(final.norm() - 1.0) < 1e-9
+    final = ia.edge_propagator(shaped_waveform(), PARAMS) @ IN_PLANE
+    assert abs(np.linalg.norm(final) - 1.0) < 1e-9
 
 
 def test_damped_norm_decreases_monotonically():
     damped = ia.SystemParams(omega0_true=OMEGA0, delta0=20 * OMEGA0, gamma=800.0)
-    record = evolve_trajectory(ia.ModeState.in_plane(), shaped_waveform(), damped)
+    record = evolve_trajectory(IN_PLANE, shaped_waveform(), damped)
     norms = np.sqrt(record.population_oop + record.population_ip)
     assert np.all(np.diff(norms) <= 1e-10)
 
@@ -176,18 +169,18 @@ def test_diagonal_phase_accumulates_the_detuning_integral():
     x = t / t[-1]
     delta = 2 * OMEGA0 * (0.5 + 0.4 * np.sin(5 * x))
     wf = ia.PulseWaveform(t, np.zeros_like(t), delta, sample_period=float(t[1] - t[0]))
-    final = ia.evolve(ia.ModeState.in_plane(), wf, tiny)
+    final = ia.edge_propagator(wf, tiny) @ IN_PLANE
     expected_phase = 0.5 * simpson(delta, x=t)
-    dphi = (np.angle(final.a_ip) - expected_phase + math.pi) % TWO_PI - math.pi
+    dphi = (np.angle(final[1]) - expected_phase + math.pi) % TWO_PI - math.pi
     assert abs(dphi) < 1e-9
-    assert abs(final.population_ip - 1.0) < 1e-9
+    assert abs(abs(final[1]) ** 2 - 1.0) < 1e-9
 
 
 def test_trajectory_final_state_matches_direct_evolution():
     wf = shaped_waveform()
-    direct = ia.evolve(ia.ModeState.in_plane(), wf, PARAMS).vector()
-    tracked = evolve_trajectory(ia.ModeState.in_plane(), wf, PARAMS)
-    assert np.linalg.norm(tracked.final_state.vector() - direct) < 1e-12
+    direct = ia.edge_propagator(wf, PARAMS) @ IN_PLANE
+    tracked = evolve_trajectory(IN_PLANE, wf, PARAMS)
+    assert np.linalg.norm(tracked.final_state - direct) < 1e-12
 
 
 def floor_waveform(n_steps: int) -> ia.PulseWaveform:
@@ -203,12 +196,12 @@ def floor_waveform(n_steps: int) -> ia.PulseWaveform:
 # Odd step counts (3, 7, 2549) make the pairwise reduction carry a tail step.
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 2549])
 @pytest.mark.parametrize("gamma", [0.0, 2.0e4])
-@pytest.mark.parametrize("start", [ia.ModeState.in_plane, ia.ModeState.out_of_plane])
+@pytest.mark.parametrize("start", [IN_PLANE, OUT_OF_PLANE], ids=["in_plane", "out_of_plane"])
 def test_evolve_matches_the_sequential_rk4_reference(n_steps, gamma, start):
     params = ia.SystemParams(omega0_true=OMEGA0, delta0=20 * OMEGA0, gamma=gamma)
     wf = floor_waveform(n_steps)
-    direct = ia.evolve(start(), wf, params).vector()
-    reference = evolve_trajectory(start(), wf, params).final_state.vector()
+    direct = ia.edge_propagator(wf, params) @ start
+    reference = evolve_trajectory(start, wf, params).final_state
     assert np.linalg.norm(direct - reference) <= 1e-12
 
 
@@ -238,19 +231,23 @@ def test_lossless_edge_propagator_is_unitary_to_rk4_accuracy(
 
 
 def test_free_evolution_exchange_periods():
-    full = ia.free_evolution(ia.ModeState.in_plane(), TWO_PI / OMEGA0, PARAMS)
-    overlap = abs(np.vdot(ia.ModeState.in_plane().vector(), full.vector()))
-    assert overlap == pytest.approx(1.0, abs=1e-12)
-    half = ia.free_evolution(ia.ModeState.in_plane(), math.pi / OMEGA0, PARAMS)
-    assert half.population_oop == pytest.approx(1.0, abs=1e-12)
+    full = ia.crossing_rotations(IN_PLANE, TWO_PI / OMEGA0, PARAMS)[:, 0]
+    assert abs(np.vdot(IN_PLANE, full)) == pytest.approx(1.0, abs=1e-12)
+    half = ia.crossing_rotations(IN_PLANE, math.pi / OMEGA0, PARAMS)[:, 0]
+    assert abs(half[0]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zero_wait_draws_no_dephasing_kick():
-    params = ia.SystemParams(omega0_true=OMEGA0, delta0=20 * OMEGA0, dephasing_time=50e-6)
-    rng = np.random.default_rng(7)
-    state = ia.free_evolution(ia.ModeState.in_plane(), 0.0, params, rng=rng)
-    assert state.population_ip == 1.0
-    assert rng.normal() == np.random.default_rng(7).normal()
+    params = ia.SystemParams(omega0_true=OMEGA0, delta0=20 * OMEGA0, dephasing_time=50e-6,
+                             noise_std=0.01, repeats=4)
+    kicks, noise = ia.draw_shots(np.random.SeedSequence(7), 0.0, params, 50)
+    assert kicks is None
+    # Without a kick, each repeat's noise row starts its stream.
+    stream = np.random.SeedSequence(7).spawn(1)[0]
+    np.testing.assert_array_equal(noise[0], np.random.default_rng(stream).standard_normal(50))
+    kicks, _ = ia.draw_shots(np.random.SeedSequence(7), 1e-6, params, 50)
+    assert kicks.shape == (4,)
+    assert np.all(ia.crossing_rotations(IN_PLANE, 0.0, params) == IN_PLANE[:, None])
 
 
 def test_dephasing_envelope_decays_at_the_stated_rate():
@@ -260,13 +257,9 @@ def test_dephasing_envelope_decays_at_the_stated_rate():
     waits = np.array([1, 2, 3, 4]) * TWO_PI / OMEGA0
     envelope = []
     for k, t_w in enumerate(waits):
-        rng = np.random.default_rng(1000 + k)
-        values = [
-            ia.free_evolution(ia.ModeState.in_plane(), float(t_w), params, rng=rng)
-            .population_oop
-            for _ in range(3000)
-        ]
-        envelope.append(1.0 - 2.0 * float(np.mean(values)))
+        kicks = np.random.default_rng(1000 + k).standard_normal(3000)
+        a = ia.crossing_rotations(IN_PLANE, float(t_w), params, kicks)
+        envelope.append(1.0 - 2.0 * float(np.mean(np.abs(a[0]) ** 2)))
     slope = np.polyfit(waits, np.log(envelope), 1)[0]
     fitted_t_d = -1.0 / slope
     assert abs(fitted_t_d - t_d) / t_d < 0.15
@@ -323,7 +316,7 @@ def test_waveform_step_size_is_validated():
     coarse = ia.PulseWaveform(t, np.zeros_like(t), np.full_like(t, 30 * OMEGA0),
                               sample_period=float(t[1] - t[0]))
     with pytest.raises(ia.ConfigurationError, match="integration step"):
-        ia.evolve(ia.ModeState.in_plane(), coarse, PARAMS)
+        ia.edge_propagator(coarse, PARAMS)
 
 
 def test_waveform_needs_odd_sample_count():
@@ -331,4 +324,4 @@ def test_waveform_needs_odd_sample_count():
     wf = ia.PulseWaveform(t, np.zeros_like(t), np.zeros_like(t),
                           sample_period=float(t[1] - t[0]))
     with pytest.raises(ia.ConfigurationError, match="odd sample count"):
-        ia.evolve(ia.ModeState.in_plane(), wf, PARAMS)
+        ia.edge_propagator(wf, PARAMS)

@@ -108,6 +108,17 @@ def test_sequence_waveform_structure(soft_ramp_spec, tuning):
     assert len(wf.time) % 2 == 1
 
 
+def test_sequence_waveform_sample_cap_is_exact(soft_ramp_spec, tuning, monkeypatch):
+    spec = soft_ramp_spec.with_wait(2.0e-5)
+    sample_period, margin = spec.edge_duration / 2000.0, 0.25 * spec.edge_duration
+    n = len(ia.build_sequence_waveform(spec, tuning, sample_period, margin).time)
+    monkeypatch.setattr(ia.pulse, "MAX_WAVEFORM_SAMPLES", n)
+    assert len(ia.build_sequence_waveform(spec, tuning, sample_period, margin).time) == n
+    monkeypatch.setattr(ia.pulse, "MAX_WAVEFORM_SAMPLES", n - 1)
+    with pytest.raises(ia.ConfigurationError, match=f"exceed {n - 1} samples"):
+        ia.build_sequence_waveform(spec, tuning, sample_period, margin)
+
+
 def test_plan_edge_steps_resolves_fastest_scale(soft_ramp_spec, tuning):
     # Soft edges stay inside the endpoint interval, so the fastest precession
     # rate hypot(detuning, splitting) occurs at one of the plateau voltages.
@@ -169,11 +180,12 @@ def test_correction_search_plans_every_evaluation_over_both_edges(
         return n
 
     monkeypatch.setattr(ia.pulse, "plan_edge_steps", checked_plan)
+    monkeypatch.setattr(ia.pulse, "CORRECTION_GRID_POINTS", 3)
     # A strongly shaped leading edge sets the peak detuning the trailing
     # search has to keep honouring.
     spec = replace(soft_ramp_spec, c=1.0, d=-1.0)
     system = ia.SystemParams(omega0_true=PRIOR, delta0=20 * PRIOR)
-    ia.optimize_correction(system, spec, tuning, "trailing", grid_points=3)
+    ia.optimize_correction(system, spec, tuning, "trailing")
     assert len(plans) > 10
     assert all(hoisted == both for hoisted, both in plans)
     assert len({both for _, both in plans}) > 1  # the searched edge decides some plans

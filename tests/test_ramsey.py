@@ -179,7 +179,7 @@ def reference_measure_points(config, t_w_values, seed):
     """The shot loop one (point, repeat) at a time, with scalar physics."""
     k_lead, k_trail, edge_time = ia.ramsey._edge_propagators(config)
     params = config.system
-    a_cross = k_lead @ ia.ModeState.in_plane().vector()
+    a_cross = k_lead @ np.array([0.0, 1.0], dtype=complex)
     out = np.full((len(t_w_values), params.repeats), np.nan)
     for i, t_w in enumerate(t_w_values):
         for r in range(params.repeats):

@@ -1,5 +1,6 @@
 """Splitting-shift-to-charge conversion and the perturbation experiment."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -107,6 +108,11 @@ def test_perturbation_scenario_validation(tuning):
         ia.PerturbationScenario(design=design, prior=0.0, shift_true=0.0)
     with pytest.raises(ia.ConfigurationError):
         ia.PerturbationScenario(design=design, prior=PRIOR, shift_true=0.0, n_runs=0)
+    shifted = ia.PerturbationScenario(design=design, prior=PRIOR, shift_true=TWO_PI * 3440.0)
+    assert shifted.perturbed == replace(design, omega0_true=design.omega0_true + TWO_PI * 3440.0)
+    # The perturbed system is validated on construction, not when its side runs.
+    with pytest.raises(ia.DomainError, match="splitting must be positive"):
+        ia.PerturbationScenario(design=design, prior=PRIOR, shift_true=-design.omega0_true)
 
 
 def test_zero_shift_reports_nothing_spurious(tuning):
