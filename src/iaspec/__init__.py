@@ -29,8 +29,6 @@ from .model import (
     TuningModel,
     branch_frequencies,
     fit_avoided_crossing,
-    initial_guess_from_data,
-    minimal_splitting,
     normal_mode_frequencies,
     synthesize_branch_data,
 )
@@ -74,7 +72,6 @@ from .estimator import (
     estimate_peak,
     fringe_sweep,
     ias_run,
-    preprocess,
 )
 from .sensing import (
     ChargeModel,

@@ -270,7 +270,9 @@ def cmd_show_pulse(args, scenario: Scenario, seed: int, emission: Emission) -> i
     design = scenario.design
     wait = args.wait_fringes * TWO_PI / scenario.prior
     info: dict = {"scenario": scenario.name, "prior_hz": scenario.prior_hz}
-    kinds = [design.kind] if design.kind != "corrected" else ["corrected", "soft"]
+    # soft first: its sample count, which the corrections do not change, is
+    # checked against the cap before the correction search runs
+    kinds = [design.kind] if design.kind != "corrected" else ["soft", "corrected"]
     for kind in kinds:
         if kind == "ideal":
             continue
@@ -320,8 +322,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p = sub.add_parser("fit-spectrum", parents=[common],
+    p = sub.add_parser("fit-spectrum",
                        help="fit the avoided-crossing tuning model to a spectroscopy CSV")
+    p.add_argument("--out", type=str, default=None, metavar="DIR",
+                   help="output directory (default: out/fit_spectrum)")
     p.add_argument("input", help="CSV with columns voltage_V,frequency_Hz,branch")
     p.set_defaults(func=cmd_fit_spectrum)
 
@@ -355,7 +359,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, the fit-error code here
+        return 1 if exc.code else 0
     if not hasattr(args, "func"):
         parser.print_help()
         return 1

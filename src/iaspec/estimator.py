@@ -75,10 +75,6 @@ class EstimateRecord:
     frequency_hz: float
     bin_width_rad_s: float
     peak_index: int
-    peak_magnitude: float
-    n_samples: int
-    window: str
-    interpolated: bool
     frequency_grid_hz: np.ndarray | None = field(default=None, repr=False, compare=False)
     magnitude: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -93,7 +89,7 @@ def _fill_gaps(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.interp(t, t[mask], y[mask])
 
 
-def preprocess(t, y, options: ProcessingOptions = ProcessingOptions()):
+def _preprocess(t, y, options: ProcessingOptions = ProcessingOptions()):
     """Detrended, gap-filled, optionally tapered central segment.
 
     Returns (t_segment, y_processed). With a window the segment is the
@@ -125,7 +121,7 @@ def preprocess(t, y, options: ProcessingOptions = ProcessingOptions()):
 def _spectral_peak(y: np.ndarray, dt: float, options: ProcessingOptions):
     """Locate the dominant interior peak.
 
-    Returns (omega, bin_width, k, mag, magnitude_spectrum). The leakage
+    Returns (omega, bin_width, k, magnitude_spectrum). The leakage
     skirt around zero frequency is excluded by walking to the first local
     minimum before searching for the maximum.
     """
@@ -156,28 +152,24 @@ def _spectral_peak(y: np.ndarray, dt: float, options: ProcessingOptions):
             if denom < 0.0:
                 delta = 0.5 * (la - lb) / denom
                 omega = (k + delta) * d_omega
-    return omega, d_omega, k, float(magnitude[k]), magnitude
+    return omega, d_omega, k, magnitude
 
 
 def estimate_peak(
     t, y, options: ProcessingOptions = ProcessingOptions()
 ) -> EstimateRecord:
     """Full pipeline on raw arrays: preprocess then pick the spectral peak."""
-    t_seg, y_proc = preprocess(t, y, options)
+    t_seg, y_proc = _preprocess(t, y, options)
     if len(y_proc) < 8:
         raise DomainError("need at least 8 processed samples for an estimate")
     dt = float(t_seg[1] - t_seg[0])
-    omega, d_omega, k, mag, spectrum = _spectral_peak(y_proc, dt, options)
+    omega, d_omega, k, spectrum = _spectral_peak(y_proc, dt, options)
     nfft = options.pad_factor * len(y_proc)
     return EstimateRecord(
         omega_rad_s=omega,
         frequency_hz=omega / TWO_PI,
         bin_width_rad_s=d_omega,
         peak_index=k,
-        peak_magnitude=mag,
-        n_samples=len(y_proc),
-        window=options.window,
-        interpolated=options.interpolate,
         frequency_grid_hz=np.fft.rfftfreq(nfft, d=dt),
         magnitude=spectrum,
     )
@@ -272,10 +264,9 @@ class IasResult:
         }
 
 
-def _iteration_seed(seed: int, iteration: int) -> int:
-    return int(
-        np.random.SeedSequence(entropy=seed, spawn_key=(iteration,)).generate_state(1)[0]
-    )
+def child_seed(seed: int, *key: int) -> int:
+    """A run seed derived from `seed` through the spawn key `key`."""
+    return int(np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(1)[0])
 
 
 def ias_run(
@@ -315,7 +306,7 @@ def ias_run(
         fringes = 2 if bootstrap else design.fringes
         pass_options = replace(options, window="none") if bootstrap else options
         config = design.config_for(current, fringes=fringes)
-        trace = acquire_trace(config, seed=_iteration_seed(seed, m))
+        trace = acquire_trace(config, seed=child_seed(seed, m))
         try:
             record = estimate_frequency(trace, pass_options)
         except NoPeakError as exc:
@@ -401,7 +392,7 @@ def fringe_sweep(
         last = ias_run(
             design_n,
             prior=prior,
-            seed=_iteration_seed(seed, n),
+            seed=child_seed(seed, n),
             max_iterations=iterations,
             tolerance=0.0,
             options=pass_options,

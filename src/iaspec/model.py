@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,10 +17,6 @@ import numpy as np
 from .errors import DomainError, FitError, UnderdeterminedFitError
 
 TWO_PI = 2.0 * math.pi
-
-# Dimensionless bound on omega_kappa**2/(omega1*omega2) above which the
-# minimal-splitting closed form is no longer trusted.
-WEAK_COUPLING_BOUND = 1e-2
 
 BRANCH_LABELS = ("upper", "lower", "unassigned")
 
@@ -50,11 +45,6 @@ class BareModes:
         if self.omega_kappa < 0.0:
             raise DomainError("coupling frequency scale must be non-negative")
 
-    @property
-    def coupling_ratio(self) -> float:
-        """omega_kappa**2 / (omega1*omega2), the weak-coupling small parameter."""
-        return self.omega_kappa**2 / (self.omega1 * self.omega2)
-
 
 def normal_mode_frequencies(bare: BareModes) -> tuple[float, float]:
     """Exact normal-mode angular frequencies (omega_plus, omega_minus).
@@ -75,22 +65,6 @@ def normal_mode_frequencies(bare: BareModes) -> tuple[float, float]:
     plus_sq = 0.5 * (w1sq + w2sq + 2.0 * wksq + root)
     minus_sq = 0.5 * (w1sq + w2sq + 2.0 * wksq - root)
     return math.sqrt(plus_sq), math.sqrt(minus_sq)
-
-
-def minimal_splitting(bare: BareModes) -> float:
-    """Weak-coupling approximation of the minimal splitting, rad/s.
-
-    Omega0 ~= omega_kappa**2 / sqrt(omega1*omega2). Emits a warning (value
-    still returned) when the weak-coupling premise coupling_ratio < 1e-2 is
-    violated.
-    """
-    if bare.coupling_ratio >= WEAK_COUPLING_BOUND:
-        warnings.warn(
-            "weak-coupling approximation outside its validity range: "
-            f"omega_kappa^2/(omega1*omega2) = {bare.coupling_ratio:.3g} >= {WEAK_COUPLING_BOUND:g}",
-            stacklevel=2,
-        )
-    return bare.omega_kappa**2 / math.sqrt(bare.omega1 * bare.omega2)
 
 
 @dataclass(frozen=True)
@@ -155,8 +129,8 @@ class TuningModel:
         w_oop, w_ip = self.bare_frequencies(voltage)
         return w_oop - w_ip
 
-    def crossing_voltages(self) -> tuple[float, float]:
-        """Both voltages where the bare curves cross (Delta = 0)."""
+    def crossing_voltage(self, near: float) -> float:
+        """The bare-curve crossing (Delta = 0) closest to `near` (V)."""
         if self.oop.center_voltage != self.ip.center_voltage:
             raise DomainError("crossing voltages defined only for a shared tuning center")
         u0 = self.oop.center_voltage
@@ -165,12 +139,7 @@ class TuningModel:
         if gap / slope < 0.0:
             raise DomainError("tuning law has no bare-curve crossing")
         du = math.sqrt(gap / slope)
-        return (u0 - du, u0 + du)
-
-    def crossing_voltage(self, near: float) -> float:
-        """The bare-curve crossing closest to `near` (V)."""
-        candidates = self.crossing_voltages()
-        return min(candidates, key=lambda u: abs(u - near))
+        return min((u0 - du, u0 + du), key=lambda u: abs(u - near))
 
 
 def branch_frequencies(model: TuningModel, voltage):
@@ -335,7 +304,7 @@ def _branch_indices(labels) -> np.ndarray:
     return np.array([lut[b] for b in labels], dtype=int)
 
 
-def initial_guess_from_data(data: SpectroscopyData) -> TuningModel:
+def _initial_guess(data: SpectroscopyData) -> TuningModel:
     """Starting model from envelope geometry, no labels needed.
 
     Voltages carrying both branches give a gap curve; its minimum locates
@@ -398,11 +367,7 @@ def initial_guess_from_data(data: SpectroscopyData) -> TuningModel:
     return fallback()
 
 
-def fit_avoided_crossing(
-    data: SpectroscopyData,
-    initial_guess: TuningModel | None = None,
-    max_iterations: int = 4000,
-) -> tuple[TuningModel, FitReport]:
+def fit_avoided_crossing(data: SpectroscopyData) -> tuple[TuningModel, FitReport]:
     """Least-squares fit of the tuning model to branch spectroscopy data.
 
     Derivative-free simplex refinement seeded by a coarse grid over
@@ -410,7 +375,7 @@ def fit_avoided_crossing(
     to the nearest model branch and the assignment is refined once after a
     first fit pass. Gaps (e.g. missing upper-branch points near the
     crossing) are tolerated: the fit simply uses the points present.
-    Without an explicit guess one is constructed from the data envelope.
+    The starting model is constructed from the data envelope.
 
     Returns
     -------
@@ -437,9 +402,7 @@ def fit_avoided_crossing(
             f"all points on the {labelled[0]!r} branch: splitting is unconstrained"
         )
 
-    if initial_guess is None:
-        initial_guess = initial_guess_from_data(data)
-    p0 = _vector_from_model(initial_guess)
+    p0 = _vector_from_model(_initial_guess(data))
     scale = np.array([abs(p0[0]), abs(p0[1]), abs(p0[2]) or 1.0, abs(p0[3]) or 1.0, 1.0, abs(p0[5]) or 1.0])
 
     def objective(q, branch_idx):
@@ -479,7 +442,7 @@ def fit_avoided_crossing(
                 args=(branch_idx,),
                 method="Nelder-Mead",
                 options={
-                    "maxiter": max_iterations,
+                    "maxiter": 4000,
                     # tolerances follow the objective's scale: with noisy data
                     # the sum of squares bottoms out at the noise floor, far
                     # above any absolute threshold; convergence is judged by

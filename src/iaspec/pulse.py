@@ -172,10 +172,6 @@ class PulseWaveform:
         if np.any(np.abs(steps - self.sample_period) > 1e-9 * self.sample_period):
             raise ConfigurationError("waveform must be uniformly sampled")
 
-    @property
-    def duration(self) -> float:
-        return float(self.time[-1] - self.time[0])
-
 
 def build_edge_waveform(spec: RampSpec, tuning: TuningModel, edge: str, n_steps: int) -> PulseWaveform:
     """Sample one edge at 2*n_steps+1 points (integration midpoints included).
@@ -306,10 +302,6 @@ class FilterModel:
     @property
     def passband_gain(self) -> float:
         return 10.0 ** (self.passband_gain_db / 20.0)
-
-    def magnitude(self, frequency_hz: float) -> float:
-        """Analog amplitude response at a frequency (includes passband loss)."""
-        return self.passband_gain / math.hypot(1.0, frequency_hz / self.corner_hz)
 
 
 def filter_signal(values, sample_period: float, filt: FilterModel) -> np.ndarray:

@@ -73,10 +73,6 @@ class RamseyConfig:
         t_max = TWO_PI * self.fringes / self.prior
         return np.linspace(0.0, t_max, self.fringes * self.samples_per_fringe + 1)
 
-    @property
-    def sample_period(self) -> float:
-        return TWO_PI / (self.prior * self.samples_per_fringe)
-
 
 @dataclass
 class RamseyTrace:
@@ -95,10 +91,6 @@ class RamseyTrace:
 
     def __len__(self):
         return len(self.t_w)
-
-    @property
-    def sample_period(self) -> float:
-        return float(self.t_w[1] - self.t_w[0])
 
 
 def _edge_propagators(config: RamseyConfig):
@@ -279,6 +271,7 @@ class SequenceDesign:
             raise ConfigurationError(
                 f"trace of {trace} ringdown samples exceeds {MAX_TRACE_SAMPLES}"
             )
+        self.system()  # the derived system must validate too
 
     def delta0(self) -> float:
         return float(self.tuning.detuning(self.u_initial))
@@ -292,10 +285,6 @@ class SequenceDesign:
             noise_std=self.noise_std,
             repeats=self.repeats,
         )
-
-    def assumed_system(self, prior: float) -> SystemParams:
-        """The system as the experimenter models it: splitting = prior."""
-        return replace(self.system(), omega0_true=prior)
 
     def ramp_for(
         self,
@@ -324,7 +313,8 @@ class SequenceDesign:
     def optimize_edges(self, prior: float) -> tuple[CorrectionResult, CorrectionResult]:
         """Correction pairs for both edges, tuned against the prior-based model."""
         template = self.ramp_for(prior)
-        assumed = self.assumed_system(prior)
+        # the system as the experimenter models it: splitting = prior
+        assumed = replace(self.system(), omega0_true=prior)
         lead = pulse.optimize_correction(
             assumed, template, self.tuning, "leading",
             steps_per_period=self.optimizer_steps_per_period,

@@ -285,7 +285,6 @@ def parse_scenario(
     # Force the derived configurations that a run would build, so invalid
     # combinations surface here and not mid-simulation.
     with _prefixed("scenario: derived configuration invalid"):
-        design.system()
         ramp = design.ramp_for(prior)
     spp = max(design.steps_per_period, design.optimizer_steps_per_period)
     if design.kind != "ideal" and not edge_steps_bound(ramp, tuning, spp) <= MAX_EDGE_STEPS:

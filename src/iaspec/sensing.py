@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .estimator import ProcessingOptions, estimate_frequency, ias_run
+from .estimator import ProcessingOptions, child_seed, estimate_frequency, ias_run
 from .ramsey import SequenceDesign, acquire_trace
 
 TWO_PI = 2.0 * math.pi
@@ -57,20 +57,11 @@ class ChargeModel:
     def shift_to_charge_density(self, shift_hz: float) -> float:
         return shift_hz / self.response_hz_per_density
 
-    def charge_density_to_shift(self, density: float) -> float:
-        return density * self.response_hz_per_density
-
     def density_to_electrons(self, density: float) -> float:
         return density * self.volume_m3 / ELEMENTARY_CHARGE
 
-    def electrons_to_density(self, electrons: float) -> float:
-        return electrons * ELEMENTARY_CHARGE / self.volume_m3
-
     def shift_to_electrons(self, shift_hz: float) -> float:
         return self.density_to_electrons(self.shift_to_charge_density(shift_hz))
-
-    def electrons_to_shift(self, electrons: float) -> float:
-        return self.charge_density_to_shift(self.electrons_to_density(electrons))
 
 
 def reference_comparison(model: ChargeModel | None = None) -> list[dict]:
@@ -165,8 +156,8 @@ class PerturbationScenario:
             raise DomainError("prior must be positive")
         if self.n_runs < 1:
             raise ConfigurationError("need at least one run per side")
+        # the design validates its system, so the shifted splitting must stay valid
         perturbed = replace(self.design, omega0_true=self.design.omega0_true + self.shift_true)
-        perturbed.system()  # the shifted splitting must still make a valid system
         object.__setattr__(self, "perturbed", perturbed)
 
 
@@ -176,12 +167,6 @@ def _two_fringe_estimate(design: SequenceDesign, prior: float, seed: int) -> flo
     trace = acquire_trace(config, seed=seed)
     record = estimate_frequency(trace, ProcessingOptions(window="none"))
     return record.omega_rad_s
-
-
-def _side_seed(seed: int, side: int, run: int) -> int:
-    return int(
-        np.random.SeedSequence(entropy=seed, spawn_key=(side, run)).generate_state(1)[0]
-    )
 
 
 def run_perturbation_experiment(
@@ -209,7 +194,7 @@ def run_perturbation_experiment(
             result = ias_run(
                 side_design,
                 prior=prior,
-                seed=_side_seed(seed, side_index, run),
+                seed=child_seed(seed, side_index, run),
                 max_iterations=scenario.max_iterations,
                 options=options,
                 keep_traces=False,
@@ -227,9 +212,9 @@ def run_perturbation_experiment(
         }
     shift = sides["perturbed"]["mean_rad_s"] - sides["baseline"]["mean_rad_s"]
     shift_hz = shift / TWO_PI
-    n2_baseline = _two_fringe_estimate(design, scenario.prior, _side_seed(seed, 2, 0))
+    n2_baseline = _two_fringe_estimate(design, scenario.prior, child_seed(seed, 2, 0))
     n2_perturbed = _two_fringe_estimate(
-        perturbed_design, n2_baseline, _side_seed(seed, 3, 0)
+        perturbed_design, n2_baseline, child_seed(seed, 3, 0)
     )
     n2_shift_hz = (n2_perturbed - n2_baseline) / TWO_PI
     flags = []

@@ -112,7 +112,16 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     assert main(["run-ias", str(bad_json), "--out", str(tmp_path / "x5")]) == 1
     assert ":2: invalid JSON" in capsys.readouterr().err
 
+    # usage errors exit 1 too, not argparse's 2 (the fit-error code)
+    assert main(["run-ias", "--bogus", str(scenario)]) == 1
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    fixture = str(ia.bundled_path("crossing_data.csv"))
+    assert main(["fit-spectrum", fixture, "--seed", "1", "--out", str(tmp_path / "x6")]) == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not (tmp_path / "x6").exists()
+
     assert main([]) == 1
+    assert main(["--version"]) == 0
 
 
 @pytest.mark.parametrize(
@@ -172,7 +181,6 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
         "perturbed_splitting_zero",
     ],
 )
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_invalid_sequences_fail_before_running(tmp_path, capsys, command, edits):
     scenario = write_scenario(tmp_path, **edits)
     out = tmp_path / "out"
@@ -255,7 +263,6 @@ def _paths(doc, prefix=()):
 _SCHEMA_KEYS = sorted(set(SCHEMA) | {key for fields in SCHEMA.values() for key, _, _ in fields})
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", ["baseline_run.json", "charge_step.json",
                                   "fringe_sweep.json", "ramp_comparison.json"])
 @settings(max_examples=150, deadline=None)
@@ -382,12 +389,17 @@ def test_show_pulse_file_sets_by_ramp_kind(tmp_path):
     ]
 
 
-def test_show_pulse_is_held_to_the_waveform_sample_cap(tmp_path, capsys):
-    soft = write_scenario(tmp_path, name="soft", sequence={"ramp_kind": "soft"})
-    out = tmp_path / "out"
-    assert main(["show-pulse", str(soft), "--out", str(out), "--wait-fringes", "1e6"]) == 1
-    assert f"exceed {ia.pulse.MAX_WAVEFORM_SAMPLES} samples" in capsys.readouterr().err
-    assert not out.exists()
+def test_show_pulse_is_held_to_the_waveform_sample_cap(tmp_path, capsys, monkeypatch):
+    def search(*args):
+        raise AssertionError("the correction search ran before the sample cap was checked")
+
+    monkeypatch.setattr(ia.SequenceDesign, "optimize_edges", search)
+    for kind in ("soft", "corrected"):
+        scenario = write_scenario(tmp_path, name=kind, sequence={"ramp_kind": kind})
+        out = tmp_path / f"{kind}_out"
+        assert main(["show-pulse", str(scenario), "--out", str(out), "--wait-fringes", "1e6"]) == 1
+        assert f"exceed {ia.pulse.MAX_WAVEFORM_SAMPLES} samples" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_show_pulse_on_the_bundled_comparison_scenario(tmp_path):

@@ -1,11 +1,11 @@
 """Tuning law, normal modes, and the avoided-crossing fit."""
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 import iaspec as ia
+from iaspec.model import _initial_guess
 
 from conftest import PRIOR, PRIOR_HZ, TWO_PI, make_tuning
 
@@ -35,11 +35,11 @@ def test_mode_tuning_rejects_non_finite_parameters(center, coefficient):
 
 
 def test_crossing_voltages_solve_exactly(tuning):
-    lo, hi = tuning.crossing_voltages()
+    lo = tuning.crossing_voltage(near=-20.0)
+    hi = tuning.crossing_voltage(near=3.0)
     assert lo == pytest.approx(-CROSSING_V, abs=1e-9)
     assert hi == pytest.approx(CROSSING_V, abs=1e-9)
-    assert tuning.crossing_voltage(near=-20.0) == lo
-    assert tuning.crossing_voltage(near=3.0) == hi
+    assert tuning.crossing_voltage(near=-3.0) == lo
     assert tuning.detuning(lo) == pytest.approx(0.0, abs=1e-3)
 
 
@@ -103,25 +103,6 @@ def test_normal_mode_frequencies_match_coupling_matrix():
     ev = np.sqrt(np.linalg.eigvalsh(mat))
     assert minus == pytest.approx(ev[0], rel=1e-12)
     assert plus == pytest.approx(ev[1], rel=1e-12)
-
-
-def test_minimal_splitting_weak_coupling_identity():
-    w = TWO_PI * 7.28e6
-    wk = math.sqrt(TWO_PI * 41300.0 * w)
-    modes = ia.BareModes(w, w, wk)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        est = ia.minimal_splitting(modes)
-    assert est == pytest.approx(TWO_PI * 41300.0, rel=1e-12)
-    plus, minus = ia.normal_mode_frequencies(modes)
-    assert (plus - minus) == pytest.approx(est, rel=5e-3)
-
-
-def test_minimal_splitting_warns_outside_weak_coupling():
-    w = TWO_PI * 7.28e6
-    strong = ia.BareModes(w, w, math.sqrt(0.02) * w)
-    with pytest.warns(UserWarning, match="weak-coupling"):
-        ia.minimal_splitting(strong)
 
 
 def test_bare_modes_validation():
@@ -213,6 +194,6 @@ def test_spectroscopy_data_validation():
 
 def test_initial_guess_is_usable(tuning):
     data = ia.synthesize_branch_data(tuning, np.linspace(-12.0, -4.0, 25))
-    guess = ia.initial_guess_from_data(data)
+    guess = _initial_guess(data)
     assert guess.splitting > 0.0
     assert guess.oop.center_frequency > 0.0

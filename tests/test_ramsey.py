@@ -7,6 +7,7 @@ import pytest
 
 import iaspec as ia
 from iaspec.cli import main
+from iaspec.ramsey import _edge_propagators
 
 from conftest import PRIOR, SEED, TRUTH, TRUTH_HZ, make_design, write_scenario
 
@@ -123,6 +124,21 @@ def test_corrected_ramp_preserves_visibility(calibrated_design, corrections):
     assert vis_corr > 0.5
     assert vis_soft < 0.2
     assert vis_corr > vis_soft
+
+
+def test_edge_propagators_apply_the_bandwidth_filter(tuning):
+    filt = ia.FilterModel()
+    config = make_design(tuning, kind="soft", bandwidth_filter=filt).config_for(PRIOR)
+    k_lead, k_trail, _ = _edge_propagators(config)
+    n_steps = ia.plan_edge_steps(
+        config.ramp, tuning, config.system.omega0_true, config.steps_per_period
+    )
+    for edge, kmat in (("leading", k_lead), ("trailing", k_trail)):
+        waveform = ia.build_edge_waveform(config.ramp, tuning, edge, n_steps)
+        filtered = ia.apply_bandwidth_filter(waveform, filt, tuning)
+        np.testing.assert_array_equal(kmat, ia.edge_propagator(filtered, config.system))
+        unfiltered = ia.edge_propagator(waveform, config.system)
+        assert np.max(np.abs(kmat - unfiltered)) > 1e-3
 
 
 def test_trace_csv_and_sidecar(tmp_path):

@@ -32,12 +32,9 @@ def test_conversion_chain_is_exact_and_invertible():
         VOLUME_M3 / ELEMENTARY_CHARGE, rel=1e-12
     )
     for value in (0.1, 7.7, 1234.5):
-        assert model.charge_density_to_shift(
-            model.shift_to_charge_density(value)
-        ) == pytest.approx(value, rel=1e-12)
-        assert model.electrons_to_shift(
-            model.shift_to_electrons(value)
-        ) == pytest.approx(value, rel=1e-12)
+        assert model.shift_to_electrons(value) == pytest.approx(
+            value / RESPONSE * VOLUME_M3 / ELEMENTARY_CHARGE, rel=1e-12
+        )
 
 
 def test_charge_model_validation():
