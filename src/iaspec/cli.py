@@ -305,6 +305,20 @@ def cmd_show_pulse(args, scenario: Scenario, seed: int, emission: Emission) -> i
     return 0
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it reports unknown options under its own usage line.
+
+    Plain argparse hands a subcommand's leftovers back to the top-level
+    parser, whose error names neither the subcommand nor its options.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, metavar="U64",
@@ -320,7 +334,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "two-mode resonator.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND",
+                                parser_class=_SubcommandParser)
 
     p = sub.add_parser("fit-spectrum",
                        help="fit the avoided-crossing tuning model to a spectroscopy CSV")

@@ -9,8 +9,14 @@ import json
 import math
 
 import pytest
+from hypothesis import settings
 
 import iaspec as ia
+
+# No per-example deadline: on a small shared host a slow example says
+# nothing about correctness.
+settings.register_profile("iaspec", deadline=None)
+settings.load_profile("iaspec")
 
 TWO_PI = 2.0 * math.pi
 SEED = 20260814

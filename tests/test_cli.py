@@ -113,11 +113,16 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     assert ":2: invalid JSON" in capsys.readouterr().err
 
     # usage errors exit 1 too, not argparse's 2 (the fit-error code)
+    # ... and name the subcommand whose options were wrong
     assert main(["run-ias", "--bogus", str(scenario)]) == 1
-    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: iaspec run-ias ")
+    assert "iaspec run-ias: error: unrecognized arguments: --bogus" in err
     fixture = str(ia.bundled_path("crossing_data.csv"))
     assert main(["fit-spectrum", fixture, "--seed", "1", "--out", str(tmp_path / "x6")]) == 1
-    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: iaspec fit-spectrum ")
+    assert "unrecognized arguments: --seed 1" in err
     assert not (tmp_path / "x6").exists()
 
     assert main([]) == 1
@@ -265,7 +270,7 @@ _SCHEMA_KEYS = sorted(set(SCHEMA) | {key for fields in SCHEMA.values() for key, 
 
 @pytest.mark.parametrize("name", ["baseline_run.json", "charge_step.json",
                                   "fringe_sweep.json", "ramp_comparison.json"])
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(data=st.data())
 def test_mutated_scenarios_parse_or_raise_configuration_error(name, data):
     doc = json.loads(ia.bundled_path(name).read_text())
@@ -430,15 +435,16 @@ def test_show_pulse_on_the_bundled_comparison_scenario(tmp_path):
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # Only fitting and the correction search need the optimizer; every
-    # command pays for the package import.
+    # Only fitting and the correction search need the optimizer, and only
+    # shot simulation needs numpy.random; every command pays for the import.
     src = str(Path(ia.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    probe = "import sys, iaspec; print('scipy.optimize' in sys.modules)"
+    probe = ("import sys, iaspec; "
+             "print('scipy.optimize' in sys.modules, 'numpy.random' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_bundled_scenarios_all_load():

@@ -212,7 +212,7 @@ def test_evolve_matches_the_sequential_rk4_reference(n_steps, gamma, start):
     prior_scale=st.floats(0.8, 1.2),
     steps_per_period=st.integers(ia.dynamics.MIN_STEPS_PER_PERIOD, 400),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_lossless_edge_propagator_is_unitary_to_rk4_accuracy(
     tuning, c, d, edge, prior_scale, steps_per_period
 ):
@@ -248,6 +248,38 @@ def test_zero_wait_draws_no_dephasing_kick():
     kicks, _ = ia.draw_shots(np.random.SeedSequence(7), 1e-6, params, 50)
     assert kicks.shape == (4,)
     assert np.all(ia.crossing_rotations(IN_PLANE, 0.0, params) == IN_PLANE[:, None])
+
+
+@given(
+    entropy=st.one_of(st.integers(0, 2**256),
+                      st.lists(st.integers(0, 2**64), min_size=1, max_size=6)),
+    spawn_key=st.lists(st.integers(0, 2**40), max_size=3).map(tuple),
+    spawned=st.one_of(st.just(0), st.integers(1, 2**31)),
+    repeats=st.integers(1, 24),
+    kicked=st.booleans(),
+    n_noise=st.integers(0, 9),
+)
+@settings(max_examples=60)
+def test_shot_streams_are_numpys_spawned_children(entropy, spawn_key, spawned, repeats,
+                                                   kicked, n_noise):
+    # draw_shots derives its children's seed words itself; every value must
+    # equal what numpy's own spawn + default_rng draws, bit for bit.
+    params = ia.SystemParams(omega0_true=OMEGA0, delta0=20 * OMEGA0,
+                             dephasing_time=50e-6 if kicked else math.inf,
+                             noise_std=0.01 if n_noise else 0.0, repeats=repeats)
+    parent = np.random.SeedSequence(entropy, spawn_key=spawn_key, n_children_spawned=spawned)
+    kicks, noise = ia.draw_shots(parent, 1e-6, params, n_noise)
+    assert parent.n_children_spawned == spawned
+    expected = np.array([np.random.default_rng(child).standard_normal(int(kicked) + n_noise)
+                         for child in parent.spawn(repeats)])
+    if kicked:
+        assert np.array_equal(kicks, expected[:, 0])
+    else:
+        assert kicks is None
+    if n_noise:
+        assert np.array_equal(noise, expected[:, int(kicked):])
+    else:
+        assert noise is None
 
 
 def test_dephasing_envelope_decays_at_the_stated_rate():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import iaspec as ia
 
@@ -53,6 +55,48 @@ def test_tone_recovery_within_half_a_padded_bin(tone):
         t, y, ia.ProcessingOptions(window="none", interpolate=False)
     )
     assert abs(rect.omega_rad_s - TWO_PI * TONE_HZ) / rect.bin_width_rad_s < 0.5
+
+
+def random_tone(fringes, samples_per_fringe, frequency_hz, phase, amplitude, offset):
+    """`fringes` periods of a tone, sampled at both ends like a wait grid."""
+    t = np.linspace(0.0, fringes / frequency_hz, round(fringes * samples_per_fringe) + 1)
+    return t, offset + amplitude * np.cos(TWO_PI * frequency_hz * t + phase)
+
+
+TONES = dict(
+    samples_per_fringe=st.integers(8, 32),
+    frequency_hz=st.floats(1e4, 1e5),
+    phase=st.floats(0.0, TWO_PI),
+    amplitude=st.floats(0.1, 1.0),
+    offset=st.floats(-1.0, 1.0),
+)
+PIPELINES = {"windowed": ia.ProcessingOptions(), "raw": ia.ProcessingOptions(window="none")}
+
+
+@given(fringes=st.floats(4.0, 16.0), pipeline=st.sampled_from(sorted(PIPELINES)),
+       scale=st.floats(1e-2, 1e2), shift=st.floats(-10.0, 10.0),
+       noise=st.floats(0.0, 0.2), noise_seed=st.integers(0, 2**32 - 1), **TONES)
+def test_estimate_ignores_scale_and_offset(fringes, pipeline, scale, shift, noise, noise_seed,
+                                           amplitude, **tone_args):
+    t, y = random_tone(fringes, amplitude=amplitude, **tone_args)
+    y = y + noise * amplitude * np.random.default_rng(noise_seed).standard_normal(len(y))
+    base = ia.estimate_peak(t, y, PIPELINES[pipeline])
+    moved = ia.estimate_peak(t, scale * y + shift, PIPELINES[pipeline])
+    assert moved.peak_index == base.peak_index
+    assert moved.omega_rad_s == pytest.approx(base.omega_rad_s, rel=1e-9, abs=0.0)
+
+
+# The raw spectrum's peak is pulled by the tone's negative-frequency image:
+# at 4 fringes by up to 0.6 padded bins, at 6 by at most 0.42 (scanned over
+# phase and sampling), so its property starts at 6 fringes.
+@pytest.mark.parametrize("pipeline, min_fringes", [("windowed", 4.0), ("raw", 6.0)])
+@given(data=st.data(), **TONES)
+def test_random_tone_recovery_within_half_a_padded_bin(pipeline, min_fringes, data,
+                                                       frequency_hz, **tone_args):
+    fringes = data.draw(st.floats(min_fringes, 16.0), label="fringes")
+    t, y = random_tone(fringes, frequency_hz=frequency_hz, **tone_args)
+    record = ia.estimate_peak(t, y, PIPELINES[pipeline])
+    assert abs(record.omega_rad_s - TWO_PI * frequency_hz) < 0.5 * record.bin_width_rad_s
 
 
 def test_constant_trace_has_no_peak(tone):

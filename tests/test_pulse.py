@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import iaspec as ia
@@ -284,7 +284,6 @@ def test_waveform_csv_header(tmp_path):
     assert np.all(np.diff(raw[:, 0]) > 0)
 
 
-@settings(deadline=None)
 @given(
     cd=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
     ratio=st.floats(0.0, 1.0),

@@ -240,6 +240,21 @@ def test_batched_shots_match_the_per_shot_reference(tuning, overrides):
     np.testing.assert_allclose(batched, reference, rtol=1e-12, atol=0.0)
 
 
+def test_shots_do_not_depend_on_the_repeat_count(tuning):
+    # Shot r draws from child r of its point's stream, so raising the
+    # repeat count only appends shots.
+    few, many = (make_design(tuning, gamma=150.0, noise_std=0.025, dephasing_time=5e-5,
+                             repeats=repeats).config_for(PRIOR) for repeats in (3, 7))
+    point_seed = np.random.SeedSequence(entropy=77, spawn_key=(4,))
+    t_w = float(few.wait_grid()[4])
+    for first, more in zip(ia.draw_shots(point_seed, t_w, few.system, 50),
+                           ia.draw_shots(point_seed, t_w, many.system, 50)):
+        assert np.array_equal(first, more[:3])
+    grid = few.wait_grid()
+    np.testing.assert_array_equal(ia.ramsey._measure_points(few, grid, 77),
+                                  ia.ramsey._measure_points(many, grid, 77)[:, :3])
+
+
 def test_noiseless_readouts_of_zero_amplitude_take_the_analytic_value():
     params = ia.SystemParams(omega0_true=TRUTH, delta0=20 * TRUTH, gamma=150.0)
     amplitudes = np.array([0.0, 0.3, 0.0, 1.0])
