@@ -33,8 +33,8 @@ CORRECTION_GRID_POINTS = 5
 
 # Cap on the integration steps one edge may plan, checked against
 # `edge_steps_bound` before a scenario runs. The edge kernel holds about
-# 0.4 kB per step, 200 MB at the cap; bundled scenarios plan about 1.0e4
-# steps per edge and bound 6.3e4.
+# 0.15 kB per step, 72 MB at the cap; bundled scenarios plan about 2.6e3
+# steps per edge and bound 1.6e4.
 MAX_EDGE_STEPS = 500_000
 
 # Cap on the samples of one `build_sequence_waveform` pulse, checked before
@@ -138,11 +138,10 @@ def edge_shape(x, c: float = 0.0, d: float = 0.0):
     plateau levels never move.
     """
     x = np.asarray(x, dtype=float)
-    return (
-        0.5 * (1.0 - np.cos(math.pi * x))
-        + c * (1.0 - np.cos(TWO_PI * x))
-        + d * np.sin(TWO_PI * x)
-    )
+    # Double angles from one cos/sin pair: 1 - cos 2 pi x = 2 sin^2 pi x and
+    # sin 2 pi x = 2 sin pi x cos pi x.
+    cos, sin = np.cos(math.pi * x), np.sin(math.pi * x)
+    return 0.5 * (1.0 - cos) + 2.0 * sin * (c * sin + d * cos)
 
 
 def _edge_voltage(spec: RampSpec, edge: str, t) -> np.ndarray:
@@ -194,7 +193,9 @@ def build_edge_waveform(spec: RampSpec, tuning: TuningModel, edge: str, n_steps:
     # Trig at the endpoints is analytically exact; remove rounding so the
     # plateau-match invariant holds bit-for-bit.
     u[0], u[-1] = u_start, u_end
-    return PulseWaveform(t, u, tuning.detuning(u), sample_period=float(t[1] - t[0]))
+    # Not t[1] - t[0]: late in the pulse that difference loses digits, and
+    # the integrator scales every step by the sample period.
+    return PulseWaveform(t, u, tuning.detuning(u), sample_period=(end - start) / (n_samples - 1))
 
 
 def _peak_detuning_sq(spec: RampSpec, tuning: TuningModel, edge: str) -> float:
@@ -204,7 +205,7 @@ def _peak_detuning_sq(spec: RampSpec, tuning: TuningModel, edge: str) -> float:
 
 
 def plan_edge_steps(
-    spec: RampSpec, tuning: TuningModel, omega0: float, steps_per_period: int = 800,
+    spec: RampSpec, tuning: TuningModel, omega0: float, steps_per_period: int = 200,
     peaks_sq: dict[str, float] | None = None,
 ) -> int:
     """Integration step count giving >= steps_per_period per shortest period.
@@ -344,7 +345,7 @@ def edge_infidelity(
     spec: RampSpec,
     tuning: TuningModel,
     edge: str,
-    steps_per_period: int = 800,
+    steps_per_period: int = 200,
     peaks_sq: dict[str, float] | None = None,
 ) -> float:
     """Leakage 1 - |<target|U_edge|start>|^2 of one edge, damping off.
@@ -370,7 +371,7 @@ def optimize_correction(
     spec: RampSpec,
     tuning: TuningModel,
     edge: str,
-    steps_per_period: int = 200,
+    steps_per_period: int = 50,
 ) -> CorrectionResult:
     """Find first-harmonic coefficients minimizing end-of-edge leakage.
 

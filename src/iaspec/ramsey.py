@@ -55,7 +55,7 @@ class RamseyConfig:
     ramp: RampSpec
     system: SystemParams
     tuning: TuningModel
-    steps_per_period: int = 800
+    steps_per_period: int = 200
     ringdown_duration: float | None = None
     ringdown_samples: int = dynamics.DEFAULT_RINGDOWN_SAMPLES
     bandwidth_filter: FilterModel | None = None
@@ -237,8 +237,8 @@ class SequenceDesign:
     fringes: int = 4
     samples_per_fringe: int = 10
     edge_cycles: float = 1.0
-    steps_per_period: int = 800
-    optimizer_steps_per_period: int = 200
+    steps_per_period: int = 200
+    optimizer_steps_per_period: int = 50
     ringdown_duration: float | None = None
     ringdown_samples: int = dynamics.DEFAULT_RINGDOWN_SAMPLES
     bandwidth_filter: FilterModel | None = None

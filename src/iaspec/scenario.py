@@ -74,7 +74,7 @@ SCHEMA = {
         ("u_initial_v", float, _REQUIRED), ("u_readout_v", float, _REQUIRED),
         ("ramp_kind", str, "corrected"), ("fringes", int, 4),
         ("samples_per_fringe", int, 10), ("edge_cycles", float, 1.0),
-        ("steps_per_period", int, 800), ("optimizer_steps_per_period", int, 200),
+        ("steps_per_period", int, 200), ("optimizer_steps_per_period", int, 50),
         ("ringdown_duration_s", float, None), ("ringdown_samples", int, 50),
     ),
     "run": (("prior_hz", float, _REQUIRED), ("max_iterations", int, 6)),

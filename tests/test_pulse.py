@@ -85,6 +85,17 @@ def test_edge_waveform_snaps_endpoint_voltages(soft_ramp_spec, tuning):
     assert len(wf.time) == 201  # odd sample count for midpoint stepping
 
 
+@pytest.mark.parametrize("edge", ["leading", "trailing"])
+def test_edge_waveform_sample_period_spans_the_edge(soft_ramp_spec, tuning, edge):
+    # The integrator scales every step by the sample period, so the steps
+    # must add up to the edge duration; late in the pulse the difference of
+    # two sample times would miss it by parts in 1e12.
+    n_steps = ia.plan_edge_steps(soft_ramp_spec, tuning, TRUTH)
+    wf = ia.build_edge_waveform(soft_ramp_spec, tuning, edge, n_steps)
+    span = wf.sample_period * (len(wf.time) - 1)
+    assert span == pytest.approx(soft_ramp_spec.edge_duration, rel=1e-15, abs=0.0)
+
+
 def test_ideal_edge_has_no_waveform(soft_ramp_spec, tuning):
     ideal = ia.RampSpec(t0=soft_ramp_spec.t0, ts=soft_ramp_spec.ts,
                         tf=soft_ramp_spec.tf, tr=soft_ramp_spec.tr,
@@ -127,7 +138,7 @@ def test_plan_edge_steps_resolves_fastest_scale(soft_ramp_spec, tuning):
         abs(tuning.detuning(u)) for u in (spec.u_initial, spec.u_final, spec.u_readout)
     )
     t_min = TWO_PI / math.hypot(d_max, TRUTH)
-    expected = max(50, math.ceil(1.05 * spec.edge_duration / t_min * 800))
+    expected = max(50, math.ceil(1.05 * spec.edge_duration / t_min * 200))
     assert ia.plan_edge_steps(spec, tuning, TRUTH) == expected
     assert ia.plan_edge_steps(spec, tuning, TRUTH, steps_per_period=1) == 50
 
@@ -174,7 +185,7 @@ def test_correction_search_plans_every_evaluation_over_both_edges(
     plan = ia.pulse.plan_edge_steps
     plans = []
 
-    def checked_plan(spec, tuning, omega0, steps_per_period=800, peaks_sq=None):
+    def checked_plan(spec, tuning, omega0, steps_per_period=200, peaks_sq=None):
         n = plan(spec, tuning, omega0, steps_per_period, peaks_sq)
         plans.append((n, plan(spec, tuning, omega0, steps_per_period)))
         return n
@@ -287,7 +298,7 @@ def test_waveform_csv_header(tmp_path):
 @given(
     cd=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
     ratio=st.floats(0.0, 1.0),
-    steps_per_period=st.integers(200, 2000),
+    steps_per_period=st.integers(ia.dynamics.MIN_STEPS_PER_PERIOD, 2000),
 )
 def test_edge_step_bound_covers_every_correction(soft_ramp_spec, tuning, cd, ratio,
                                                   steps_per_period):
