@@ -188,6 +188,8 @@ class SpectroscopyData:
             raise DomainError("voltage, frequency and branch columns must have equal length")
         if len(self.voltage) < 6:
             raise DomainError("need at least 6 spectroscopy points")
+        if not (np.all(np.isfinite(self.voltage)) and np.all(np.isfinite(self.frequency_hz))):
+            raise DomainError("voltages and frequencies must be finite")
         if np.any(self.frequency_hz <= 0.0):
             raise DomainError("measured frequencies must be positive")
         for label in self.branch:
@@ -214,10 +216,13 @@ class SpectroscopyData:
                 if len(row) != 3:
                     raise DomainError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
                 try:
-                    voltage.append(float(row[0]))
-                    frequency.append(float(row[1]))
+                    values = float(row[0]), float(row[1])
                 except ValueError as exc:
                     raise DomainError(f"{path}:{lineno}: non-numeric value: {exc}") from exc
+                if not all(map(math.isfinite, values)):
+                    raise DomainError(f"{path}:{lineno}: non-finite value in {row[:2]!r}")
+                voltage.append(values[0])
+                frequency.append(values[1])
                 label = row[2].strip()
                 if label not in BRANCH_LABELS:
                     raise DomainError(f"{path}:{lineno}: unknown branch label {label!r}")
@@ -235,7 +240,17 @@ class SpectroscopyData:
 
 @dataclass
 class FitReport:
-    """Quality record of an avoided-crossing fit."""
+    """Quality record of an avoided-crossing fit.
+
+    `stderr` holds 1-sigma parameter errors from the optimizer's Jacobian at
+    the optimum, scaled by the residual variance. `n_iterations` counts
+    residual evaluations, finite-difference Jacobian columns included,
+    summed over all starts and label passes. `converged` means the best
+    start's label passes reached a fixed point (labels reproduce themselves
+    and a restarted fit no longer lowers the sum of squares), or, failing
+    that, its last Levenberg-Marquardt pass met its tolerances within the
+    evaluation budget.
+    """
 
     residual_rms_hz: float
     stderr: dict[str, float]
@@ -370,10 +385,11 @@ def _initial_guess(data: SpectroscopyData) -> TuningModel:
 def fit_avoided_crossing(data: SpectroscopyData) -> tuple[TuningModel, FitReport]:
     """Least-squares fit of the tuning model to branch spectroscopy data.
 
-    Derivative-free simplex refinement seeded by a coarse grid over
-    (crossing center, splitting); points labelled 'unassigned' are attached
-    to the nearest model branch and the assignment is refined once after a
-    first fit pass. Gaps (e.g. missing upper-branch points near the
+    Levenberg-Marquardt refinement of the per-point residuals, multi-started
+    from the best three points of a coarse grid over (crossing center,
+    splitting); points labelled 'unassigned' are attached to the nearest
+    model branch, and the assignment is refined and the fit restarted until
+    it reproduces itself. Gaps (e.g. missing upper-branch points near the
     crossing) are tolerated: the fit simply uses the points present.
     The starting model is constructed from the data envelope.
 
@@ -390,7 +406,7 @@ def fit_avoided_crossing(data: SpectroscopyData) -> tuple[TuningModel, FitReport
     FitError
         Optimizer failed to converge; carries the best model so far.
     """
-    from scipy.optimize import minimize
+    from scipy.optimize import least_squares
 
     if len(data) < len(_PARAM_NAMES):
         raise DomainError(
@@ -404,14 +420,16 @@ def fit_avoided_crossing(data: SpectroscopyData) -> tuple[TuningModel, FitReport
 
     p0 = _vector_from_model(_initial_guess(data))
     scale = np.array([abs(p0[0]), abs(p0[1]), abs(p0[2]) or 1.0, abs(p0[3]) or 1.0, 1.0, abs(p0[5]) or 1.0])
+    n_evaluations = 0
 
-    def objective(q, branch_idx):
-        res = _residuals(q * scale, data.voltage, data.frequency_hz, branch_idx)
-        return float(np.dot(res, res))
+    def residuals(q, branch_idx):
+        nonlocal n_evaluations
+        n_evaluations += 1
+        return _residuals(q * scale, data.voltage, data.frequency_hz, branch_idx)
 
     # Coarse grid over (center voltage, splitting) around the guess. A noisy
     # envelope can mislead the guess badly enough that one basin traps the
-    # simplex at splitting ~ 0, so refinement multi-starts from the leading
+    # fit at splitting ~ 0, so refinement multi-starts from the leading
     # grid candidates and keeps the best optimum.
     u_span = max(1.0, 0.25 * (data.voltage.max() - data.voltage.min()))
     candidates = []
@@ -421,10 +439,10 @@ def fit_avoided_crossing(data: SpectroscopyData) -> tuple[TuningModel, FitReport
             q = p0.copy()
             q[4] = p0[4] + du
             q[5] = p0[5] * fac
-            candidates.append((objective(q / scale, branch_idx), du, fac, q))
+            res = _residuals(q, data.voltage, data.frequency_hz, branch_idx)
+            candidates.append((float(np.dot(res, res)), du, fac, q))
     candidates.sort(key=lambda item: item[0])
 
-    n_iter_total = 0
     best = None
     for _val, _du, _fac, start in candidates[:3]:
         seed = start
@@ -434,25 +452,11 @@ def fit_avoided_crossing(data: SpectroscopyData) -> tuple[TuningModel, FitReport
         chain_best = None
         result = None
         for _attempt in range(4):
-            branch_idx = _branch_indices(labels)
-            seed_val = objective(seed / scale, branch_idx)
-            result = minimize(
-                objective,
-                seed / scale,
-                args=(branch_idx,),
-                method="Nelder-Mead",
-                options={
-                    "maxiter": 4000,
-                    # tolerances follow the objective's scale: with noisy data
-                    # the sum of squares bottoms out at the noise floor, far
-                    # above any absolute threshold; convergence is judged by
-                    # restart stability below, not by one simplex collapse
-                    "xatol": 1e-8,
-                    "fatol": max(1e-12, 1e-6 * seed_val),
-                    "adaptive": True,
-                },
+            result = least_squares(
+                residuals, seed / scale, args=(_branch_indices(labels),),
+                method="lm", xtol=1e-10, ftol=1e-10, max_nfev=4000,
             )
-            n_iter_total += int(result.nit)
+            fun = 2.0 * float(result.cost)
             seed = result.x * scale
             model = _model_from_vector(seed)
             # Refine assignment of unassigned points against the fitted model.
@@ -462,12 +466,12 @@ def fit_avoided_crossing(data: SpectroscopyData) -> tuple[TuningModel, FitReport
             ]
             stable_labels = new_labels == labels
             labels = new_labels
-            if chain_best is None or result.fun < chain_best[0]:
-                chain_best = (float(result.fun), np.array(result.x), list(labels))
-            improved = prev_fun is None or prev_fun - result.fun > 1e-8 * (1.0 + abs(prev_fun))
-            prev_fun = float(result.fun)
+            if chain_best is None or fun < chain_best[0]:
+                chain_best = (fun, seed, list(labels), result.jac / scale)
+            improved = prev_fun is None or prev_fun - fun > 1e-8 * (1.0 + abs(prev_fun))
+            prev_fun = fun
             if stable_labels and not improved:
-                # a restarted simplex no longer lowers the objective and the
+                # a restarted fit no longer lowers the objective and the
                 # branch assignment reproduces itself: stationary answer
                 chain_converged = True
                 break
@@ -475,53 +479,33 @@ def fit_avoided_crossing(data: SpectroscopyData) -> tuple[TuningModel, FitReport
             chain_converged = bool(result.success)
         if best is None or chain_best[0] < best[0]:
             best = (*chain_best, chain_converged)
-    _fun_best, x_best, labels, converged = best
+    _fun_best, p_best, labels, jac, converged = best
 
-    model = _model_from_vector(x_best * scale)
+    model = _model_from_vector(p_best)
     if len(set(labels)) == 1:
         raise UnderdeterminedFitError(
             f"all points assigned to the {labels[0]!r} branch: splitting is unconstrained",
             model=model,
         )
 
-    branch_idx = _branch_indices(labels)
-    res = _residuals(x_best * scale, data.voltage, data.frequency_hz, branch_idx)
-    rms = float(np.sqrt(np.mean(res**2)))
-    stderr = _parameter_stderr(x_best * scale, data, branch_idx, res)
+    res = _residuals(p_best, data.voltage, data.frequency_hz, _branch_indices(labels))
+    dof = max(len(data) - len(p_best), 1)
+    try:
+        cov = float(np.dot(res, res)) / dof * np.linalg.pinv(jac.T @ jac)
+        err = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    except np.linalg.LinAlgError:
+        err = np.full(len(p_best), math.nan)
     report = FitReport(
-        residual_rms_hz=rms,
-        stderr=stderr,
+        residual_rms_hz=float(np.sqrt(np.mean(res**2))),
+        stderr=dict(zip(_PARAM_NAMES, (float(e) for e in err))),
         n_points=len(data),
-        n_iterations=n_iter_total,
+        n_iterations=n_evaluations,
         converged=converged,
         assignments=labels,
     )
     if not converged:
         raise FitError("avoided-crossing fit did not converge", model=model, report=report)
     return model, report
-
-
-def _parameter_stderr(p, data, branch_idx, res) -> dict[str, float]:
-    """1-sigma parameter confidence from the numerical Jacobian at the optimum."""
-    n, k = len(data), len(p)
-    jac = np.empty((n, k))
-    for j in range(k):
-        h = 1e-7 * max(abs(p[j]), 1e-3)
-        pp, pm = p.copy(), p.copy()
-        pp[j] += h
-        pm[j] -= h
-        jac[:, j] = (
-            _residuals(pp, data.voltage, data.frequency_hz, branch_idx)
-            - _residuals(pm, data.voltage, data.frequency_hz, branch_idx)
-        ) / (2.0 * h)
-    dof = max(n - k, 1)
-    sigma_sq = float(np.dot(res, res)) / dof
-    try:
-        cov = sigma_sq * np.linalg.pinv(jac.T @ jac)
-        err = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    except np.linalg.LinAlgError:
-        err = np.full(k, math.nan)
-    return dict(zip(_PARAM_NAMES, (float(e) for e in err)))
 
 
 def synthesize_branch_data(

@@ -321,6 +321,22 @@ def test_fit_spectrum_error_paths(tmp_path, capsys):
                  "--out", str(tmp_path / "f3")]) == 1
 
 
+@pytest.mark.parametrize("column", [0, 1], ids=["voltage", "frequency"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_fit_spectrum_rejects_non_finite_values(tmp_path, capsys, column, value):
+    lines = ia.bundled_path("crossing_data.csv").read_text().splitlines()
+    row = lines[3].split(",")
+    row[column] = value
+    lines[3] = ",".join(row)
+    path = tmp_path / "spectrum.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["fit-spectrum", str(path), "--out", str(tmp_path / "fit")]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}:4: non-finite value" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "fit").exists()
+
+
 def test_fringe_sweep_rows_and_override(tmp_path):
     scenario = write_scenario(
         tmp_path, kind="fringe_sweep",

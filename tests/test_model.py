@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import iaspec as ia
-from iaspec.model import _initial_guess
+from iaspec.model import _PARAM_NAMES, _branch_indices, _initial_guess, _residuals, _vector_from_model
 
 from conftest import PRIOR, PRIOR_HZ, TWO_PI, make_tuning
 
@@ -151,6 +153,74 @@ def test_bundled_spectroscopy_fixture_fit():
     assert report.residual_rms_hz < 15.0
 
 
+def central_difference_stderr(model, data, labels):
+    """Reference 1-sigma errors from a central-difference Jacobian of the
+    residuals at the fitted model, scaled by the residual variance."""
+    p = _vector_from_model(model)
+    branch_idx = _branch_indices(labels)
+    jac = np.empty((len(data), len(p)))
+    for j in range(len(p)):
+        h = 1e-7 * max(abs(p[j]), 1e-3)
+        pp, pm = p.copy(), p.copy()
+        pp[j] += h
+        pm[j] -= h
+        jac[:, j] = (
+            _residuals(pp, data.voltage, data.frequency_hz, branch_idx)
+            - _residuals(pm, data.voltage, data.frequency_hz, branch_idx)
+        ) / (2.0 * h)
+    res = _residuals(p, data.voltage, data.frequency_hz, branch_idx)
+    sigma_sq = float(np.dot(res, res)) / (len(data) - len(p))
+    return dict(zip(_PARAM_NAMES, np.sqrt(np.diag(sigma_sq * np.linalg.pinv(jac.T @ jac)))))
+
+
+@pytest.mark.parametrize("source", ["crossing_data.csv", "noisy_unlabelled"])
+def test_stderr_matches_the_central_difference_oracle(source):
+    if source == "noisy_unlabelled":
+        data = ia.synthesize_branch_data(
+            make_tuning(), np.linspace(-11.5, -4.5, 60), noise_std_hz=800.0,
+            rng=np.random.default_rng(3), gap_halfwidth_v=0.3, labelled=False,
+        )
+    else:
+        data = ia.SpectroscopyData.from_csv(ia.bundled_path(source))
+    model, report = ia.fit_avoided_crossing(data)
+    oracle = central_difference_stderr(model, data, report.assignments)
+    for name in _PARAM_NAMES:
+        assert report.stderr[name] == pytest.approx(oracle[name], rel=1e-3), name
+
+
+def sum_of_squares(model, data):
+    """Squared residuals to each point's labelled branch, or to the nearer
+    branch for an unassigned point."""
+    f_up, f_lo = ia.branch_frequencies(model, data.voltage)
+    res_up, res_lo = data.frequency_hz - f_up, data.frequency_hz - f_lo
+    branch = np.array(data.branch)
+    nearer = np.minimum(np.abs(res_up), np.abs(res_lo))
+    res = np.where(branch == "upper", res_up, np.where(branch == "lower", res_lo, nearer))
+    return float(np.dot(res, res))
+
+
+@settings(max_examples=10, derandomize=True)
+@given(
+    labelled=st.booleans(),
+    gap_halfwidth_v=st.floats(0.0, 0.5),
+    noise_hz=st.floats(200.0, 1500.0),
+    n_voltages=st.integers(40, 120),
+    splitting_hz=st.floats(38000.0, 46000.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_beats_the_generating_model(labelled, gap_halfwidth_v, noise_hz, n_voltages,
+                                        splitting_hz, seed):
+    truth = make_tuning(splitting_hz)
+    data = ia.synthesize_branch_data(
+        truth, np.linspace(-11.5, -4.5, n_voltages), noise_std_hz=noise_hz,
+        rng=np.random.default_rng(seed), gap_halfwidth_v=gap_halfwidth_v, labelled=labelled,
+    )
+    model, report = ia.fit_avoided_crossing(data)
+    assert sum_of_squares(model, data) <= sum_of_squares(truth, data)
+    error_hz = (model.splitting - truth.splitting) / TWO_PI
+    assert abs(error_hz) <= 5.0 * report.stderr["splitting_Hz"]
+
+
 def test_single_branch_fit_is_underdetermined(tuning):
     volts = np.linspace(-12.0, -4.0, 12)
     data = ia.synthesize_branch_data(tuning, volts)
@@ -190,6 +260,15 @@ def test_spectroscopy_data_validation():
         ia.SpectroscopyData(np.linspace(0, 5, 6), np.full(6, -1.0), ["upper"] * 6)
     with pytest.raises(ia.DomainError, match="unknown branch label"):
         ia.SpectroscopyData(np.linspace(0, 5, 6), np.full(6, 1e6), ["weird"] * 6)
+
+
+@pytest.mark.parametrize("column", ["voltage", "frequency"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_spectroscopy_data_rejects_non_finite_values(column, value):
+    voltage, frequency = np.linspace(0, 5, 6), np.full(6, 1e6)
+    (voltage if column == "voltage" else frequency)[2] = value
+    with pytest.raises(ia.DomainError, match="finite"):
+        ia.SpectroscopyData(voltage, frequency, ["lower"] * 6)
 
 
 def test_initial_guess_is_usable(tuning):
