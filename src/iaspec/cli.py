@@ -3,7 +3,7 @@
 One scenario file per invocation; every run emits tidy CSV/JSON files for
 external plotting plus a manifest with checksums of everything written.
 Exit codes: 0 success, 1 malformed input or invalid scenario, 2 fit error,
-3 no usable fringe peak.
+3 no usable fringe peak (also a trace too incomplete to read).
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ from .errors import (
     FitError,
     IasRunError,
     NoPeakError,
+    TraceError,
 )
 from .estimator import fringe_sweep, ias_run
 from .model import SpectroscopyData, fit_avoided_crossing
@@ -250,7 +251,7 @@ def cmd_sense(args, scenario: Scenario, seed: int, emission: Emission) -> int:
     telegraph = scenario.telegraph
     if telegraph is not None and telegraph.enabled:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(99,)))
-        times = np.arange(0.0, 20.0 / telegraph.rate_hz, 0.05 / telegraph.rate_hz)
+        times = telegraph.trace_times()
         report["telegraph_trace"] = "telegraph_switching.csv"
         emission.write_rows("telegraph_switching.csv", ["time_s", "offset_hz"],
                             _float_rows(times, telegraph.sample(times, rng)))
@@ -389,7 +390,7 @@ def main(argv=None) -> int:
     except FitError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return 2
-    except (NoPeakError, IasRunError) as exc:
+    except (NoPeakError, IasRunError, TraceError) as exc:
         print(f"no usable fringe peak: {exc}", file=sys.stderr)
         return 3
 

@@ -16,7 +16,6 @@ ordered product are built with elementwise arithmetic alone.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -40,12 +39,6 @@ MIN_DETUNING_RATIO = 10.0
 NOISE_FLOOR_SIGMAS = 3.0
 
 DEFAULT_RINGDOWN_SAMPLES = 50
-
-# Hash constants of numpy's SeedSequence (fixed by numpy's stream-compatibility
-# policy): INIT_A/MULT_A drive the entropy mix, INIT_B/MULT_B generate_state.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 @dataclass(frozen=True)
@@ -160,88 +153,24 @@ def edge_propagator(waveform: PulseWaveform, params: SystemParams) -> np.ndarray
     return math.exp(-0.5 * params.gamma * duration) * np.array([r[0] for r in steps]).reshape(2, 2)
 
 
-@functools.cache
-def _seed_words_type() -> type:
-    """An ISeedSequence holding precomputed seed words, for a bit generator's
-    native seeding. Built on first use: `import iaspec` leaves numpy.random
-    unloaded."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class SeedWords(ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
-    return SeedWords
-
-
-def _word_count(value) -> int:
-    """uint32 words SeedSequence assembles from an int or a sequence of ints."""
-    if isinstance(value, (int, np.integer)):
-        return max(1, -(-int(value).bit_length() // 32))
-    return sum(_word_count(v) for v in value)
-
-
-@functools.cache
-def _hash_constants(init: int, mult: int, first: int, count: int) -> np.ndarray:
-    """init * mult**k mod 2**32 for k = first, ..., first + count - 1 (read-only)."""
-    out = np.array([init * pow(mult, first + k, 1 << 32) & 0xFFFFFFFF for k in range(count)],
-                   dtype=np.uint32)
-    out.setflags(write=False)
-    return out
-
-
-def _child_state_words(point_seed: np.random.SeedSequence, n_children: int) -> np.ndarray:
-    """PCG64 seed words of point_seed.spawn(n_children), shape (n_children, 4) uint64.
-
-    Row r equals point_seed.spawn(n_children)[r].generate_state(4, np.uint64).
-    A child's entropy is its parent's plus one word, its spawn index, so its
-    pool is the parent's pool mixed with that word, with the hash constant
-    continuing after the parent's mixes: pool_size per entropy word, the
-    entropy counted as at least pool_size words. generate_state then hashes
-    the pool into 8 words. The parent's spawn counter is not advanced.
-    """
-    size = point_seed.pool_size
-    first = point_seed.n_children_spawned
-    if first + n_children > 1 << 32:
-        raise DomainError("spawn index beyond one 32-bit word")
-    mixes = size * (max(_word_count(point_seed.entropy), size) + _word_count(point_seed.spawn_key))
-    a = _hash_constants(_INIT_A, _MULT_A, mixes, size + 1)
-    index = np.arange(first, first + n_children, dtype=np.uint32)[:, None]
-    h = (index ^ a[:-1]) * a[1:]
-    h ^= h >> 16
-    pool = point_seed.pool * np.uint32(_MIX_MULT_L) - h * np.uint32(_MIX_MULT_R)
-    pool ^= pool >> 16
-    b = _hash_constants(_INIT_B, _MULT_B, 0, 9)
-    state = (pool[:, np.arange(8) % size] ^ b[:-1]) * b[1:]
-    state ^= state >> 16
-    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
-
-
 def draw_shots(
     point_seed: np.random.SeedSequence, t_w: float, params: SystemParams, n_samples: int
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Standard-normal draws of the params.repeats shots at one wait time.
 
-    Repeat r draws from its own stream, child r of `point_seed` (what
-    `default_rng(point_seed.spawn(repeats)[r])` draws): first the dephasing
-    kick (only for t_w > 0 and a finite T_d), then n_samples readout noise
-    values (only for a positive noise std). The children's seed words are
-    derived in one batch and each PCG64 is seeded natively from its words;
-    `point_seed` is left unchanged. Returns (kicks, noise), shapes (repeats,)
-    and (repeats, n_samples), None for a draw no shot makes; when neither is
-    made no stream is built.
+    The point's draws come from one stream, `default_rng(point_seed)`, as a
+    (repeats, k) block in row-major order: shot r takes row r, first the
+    dephasing kick (only for t_w > 0 and a finite T_d), then n_samples
+    readout noise values (only for a positive noise std). Raising repeats
+    therefore only appends rows. `point_seed` is not spawned from. Returns
+    (kicks, noise), shapes (repeats,) and (repeats, n_samples), None for a
+    draw no shot makes; when neither is made no stream is built.
     """
     kicked = int(math.isfinite(params.dephasing_time) and t_w > 0.0)
     n_noise = n_samples if params.noise_std > 0.0 else 0
     if not kicked + n_noise:
         return None, None
-    draws = np.empty((params.repeats, kicked + n_noise))
-    seed_words = _seed_words_type()
-    for words, row in zip(_child_state_words(point_seed, params.repeats), draws):
-        np.random.Generator(np.random.PCG64(seed_words(words))).standard_normal(out=row)
+    draws = np.random.default_rng(point_seed).standard_normal((params.repeats, kicked + n_noise))
     return (draws[:, 0] if kicked else None), (draws[:, kicked:] if n_noise else None)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, IasRunError, NoPeakError
+from .errors import ConfigurationError, DomainError, IasRunError, NoPeakError, TraceError
 from .ramsey import RamseyTrace, SequenceDesign, acquire_trace
 
 TWO_PI = 2.0 * math.pi
@@ -286,7 +286,8 @@ def ias_run(
     processing pipeline, regenerating grid spans, edge durations, and
     correction coefficients from the running prior each time. Convergence
     means the new estimate moved the prior by less than half a padded
-    frequency bin (or `tolerance`, if given).
+    frequency bin (or `tolerance`, if given). A pass whose trace cannot be
+    read or has no usable peak raises IasRunError with the records so far.
     """
     if prior <= 0.0:
         raise DomainError("prior splitting must be positive")
@@ -306,10 +307,10 @@ def ias_run(
         fringes = 2 if bootstrap else design.fringes
         pass_options = replace(options, window="none") if bootstrap else options
         config = design.config_for(current, fringes=fringes)
-        trace = acquire_trace(config, seed=child_seed(seed, m))
         try:
+            trace = acquire_trace(config, seed=child_seed(seed, m))
             record = estimate_frequency(trace, pass_options)
-        except NoPeakError as exc:
+        except (TraceError, NoPeakError) as exc:
             raise IasRunError(
                 f"no fringe peak at iteration {m} (prior {current / TWO_PI:.6g} Hz): {exc}",
                 records=records,

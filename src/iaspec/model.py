@@ -20,6 +20,13 @@ TWO_PI = 2.0 * math.pi
 
 BRANCH_LABELS = ("upper", "lower", "unassigned")
 
+# Largest spectroscopy voltage or frequency magnitude accepted. The fit
+# squares voltage offsets in the tuning law and its Jacobian product squares
+# them again, so (2 x 1e75)^4 = 1.6e301 keeps every sum finite below the
+# float maximum (1.8e308) for up to 1e7 points; squared frequency residuals
+# (1e150) are far inside it.
+MAX_SPECTROSCOPY_MAGNITUDE = 1e75
+
 
 @dataclass(frozen=True)
 class BareModes:
@@ -172,7 +179,9 @@ class SpectroscopyData:
 
     branch labels are 'upper', 'lower' or 'unassigned'. The CSV interface is
     a header line `voltage_V,frequency_Hz,branch` followed by one row per
-    point.
+    point. Voltages and frequencies must be finite and at most
+    MAX_SPECTROSCOPY_MAGNITUDE (1e75) in magnitude, where the fit's squares
+    stay finite.
     """
 
     voltage: np.ndarray
@@ -188,8 +197,9 @@ class SpectroscopyData:
             raise DomainError("voltage, frequency and branch columns must have equal length")
         if len(self.voltage) < 6:
             raise DomainError("need at least 6 spectroscopy points")
-        if not (np.all(np.isfinite(self.voltage)) and np.all(np.isfinite(self.frequency_hz))):
-            raise DomainError("voltages and frequencies must be finite")
+        if not np.all(np.abs([self.voltage, self.frequency_hz]) <= MAX_SPECTROSCOPY_MAGNITUDE):
+            raise DomainError(f"voltages and frequencies must be finite, at most "
+                              f"{MAX_SPECTROSCOPY_MAGNITUDE:g} in magnitude")
         if np.any(self.frequency_hz <= 0.0):
             raise DomainError("measured frequencies must be positive")
         for label in self.branch:
@@ -219,8 +229,9 @@ class SpectroscopyData:
                     values = float(row[0]), float(row[1])
                 except ValueError as exc:
                     raise DomainError(f"{path}:{lineno}: non-numeric value: {exc}") from exc
-                if not all(map(math.isfinite, values)):
-                    raise DomainError(f"{path}:{lineno}: non-finite value in {row[:2]!r}")
+                if not all(abs(v) <= MAX_SPECTROSCOPY_MAGNITUDE for v in values):
+                    raise DomainError(f"{path}:{lineno}: non-finite value or magnitude above "
+                                      f"{MAX_SPECTROSCOPY_MAGNITUDE:g} in {row[:2]!r}")
                 voltage.append(values[0])
                 frequency.append(values[1])
                 label = row[2].strip()

@@ -116,10 +116,11 @@ def _edge_propagators(config: RamseyConfig):
 def _measure_points(config: RamseyConfig, t_w_values: np.ndarray, seed: int) -> np.ndarray:
     """Raw extrapolated envelopes, shape (n_points, repeats); NaN = lost readout.
 
-    Every (point, repeat) pair draws from its own seed stream, spawn key
-    (point, repeat), so points are independent and the acquisition order
-    cannot change any value. A point's repeats are simulated as one batch;
-    a point whose shots draw nothing is simulated once.
+    Point i draws from its own stream, seeded with spawn key (i,), and
+    shot r takes row r of that point's draws (`dynamics.draw_shots`), so
+    points are independent and the acquisition order cannot change any
+    value. A point's repeats are simulated as one batch; a point whose
+    shots draw nothing is simulated once.
     """
     k_lead, k_trail, edge_time = _edge_propagators(config)
     params = config.system

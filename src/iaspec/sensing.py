@@ -29,6 +29,9 @@ DEFAULT_RESPONSE_HZ_PER_DENSITY = 26.0
 # Beam volume: 55 um x 250 nm x 100 nm.
 DEFAULT_DIMENSIONS_M = (55e-6, 250e-9, 100e-9)
 
+# A switching trace spans this many mean dwell times, sampled 20 times per dwell.
+TELEGRAPH_TRACE_DWELLS = 20.0
+
 # Quoted conversions are flagged when they disagree with the chain by more
 # than this relative amount.
 DISCREPANCY_THRESHOLD = 0.05
@@ -44,8 +47,8 @@ class ChargeModel:
     def __post_init__(self):
         if self.response_hz_per_density <= 0.0:
             raise ConfigurationError("response must be positive")
-        if self.volume_m3 <= 0.0:
-            raise ConfigurationError("volume must be positive")
+        if not 0.0 < self.volume_m3 < math.inf:
+            raise ConfigurationError(f"volume {self.volume_m3:g} m^3 must be positive and finite")
 
     @classmethod
     def from_dimensions(cls, length_m: float, width_m: float, thickness_m: float,
@@ -104,7 +107,8 @@ class TelegraphNoise:
     """Two-level random telegraph process in the splitting frequency.
 
     Symmetric levels +-amplitude/2 with exponentially distributed dwell
-    times of mean 1/rate. Disabled instances sample to zero offset.
+    times of mean 1/rate. Disabled instances sample to zero offset. The rate
+    must keep a TELEGRAPH_TRACE_DWELLS-dwell trace finite in seconds.
     """
 
     rate_hz: float
@@ -112,10 +116,15 @@ class TelegraphNoise:
     enabled: bool = False
 
     def __post_init__(self):
-        if self.rate_hz <= 0.0:
-            raise ConfigurationError("switching rate must be positive")
+        if not (self.rate_hz > 0.0 and math.isfinite(TELEGRAPH_TRACE_DWELLS / self.rate_hz)):
+            raise ConfigurationError(f"rate_hz {self.rate_hz:g} must be positive and keep "
+                                     f"{TELEGRAPH_TRACE_DWELLS:g} mean dwells finite in seconds")
         if self.amplitude_hz < 0.0:
             raise ConfigurationError("amplitude must be non-negative")
+
+    def trace_times(self) -> np.ndarray:
+        """Sampling times (s) of a switching trace, 20 per mean dwell."""
+        return np.arange(0.0, TELEGRAPH_TRACE_DWELLS / self.rate_hz, 0.05 / self.rate_hz)
 
     def sample(self, times, rng: np.random.Generator) -> np.ndarray:
         """Frequency offsets (Hz) at the given times."""

@@ -79,6 +79,33 @@ def test_flat_trace_aborts_with_partial_records(tmp_path, capsys):
     assert (out / "iteration_01_trace.csv").exists()
 
 
+def test_unreadable_trace_exits_three_with_records(tmp_path, capsys):
+    # Shots decay below the readout floor on more than 20% of the grid.
+    scenario = write_scenario(
+        tmp_path, system={"splitting_true_hz": 42650.0, "gamma_per_s": 3e4,
+                          "readout_noise_std": 0.05, "repeats": 6}
+    )
+    out = tmp_path / "out"
+    assert main(["run-ias", str(scenario), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "points missing" in err
+    assert "Traceback" not in err
+    assert "error" in json.loads((out / "records.json").read_text())
+
+
+def test_unreadable_two_fringe_trace_exits_three(tmp_path, capsys, monkeypatch):
+    def unreadable(config, seed):
+        raise ia.TraceError("t_w = 0 reference point unreadable; cannot normalize")
+
+    monkeypatch.setattr(ia.sensing, "acquire_trace", unreadable)  # the two-fringe arm only
+    scenario = write_scenario(tmp_path, kind="perturbation",
+                              perturbation={"shift_true_hz": 3440.0, "n_runs": 1})
+    assert main(["sense", str(scenario), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "reference point unreadable" in err
+    assert "Traceback" not in err
+
+
 def test_zero_iterations_writes_only_the_manifest(tmp_path):
     scenario = write_scenario(tmp_path)
     out = tmp_path / "out"
@@ -170,6 +197,10 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
         ("run-ias", {"tuning": {"oop_coefficient_hz_per_v2": 1e307}}),
         ("sense", {"kind": "perturbation", "perturbation": {"shift_true_hz": 10000.0}}),
         ("sense", {"kind": "perturbation", "perturbation": {"shift_true_hz": -42650.0}}),
+        ("sense", {"kind": "perturbation", "perturbation": {"shift_true_hz": 3440.0},
+                   "telegraph": {"rate_hz": 1e-310, "amplitude_hz": 1.0, "enabled": True}}),
+        ("sense", {"kind": "perturbation", "perturbation": {"shift_true_hz": 3440.0},
+                   "charge": {"dimensions_m": [1e200, 1e200, 1e200]}}),
     ],
     ids=[
         "fringes_1", "windowed_fringes_3", "samples_per_fringe_1", "ringdown_samples_2",
@@ -183,7 +214,7 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
         "steps_per_period_1e9", "optimizer_steps_per_period_1e9", "edge_cycles_1e300",
         "pad_factor_1e9", "sweep_fft_over_cap", "oop_coefficient_overflows_rad_s",
         "oop_coefficient_overflows_detuning", "perturbed_detuning_ratio_below_10",
-        "perturbed_splitting_zero",
+        "perturbed_splitting_zero", "telegraph_rate_1e-310", "charge_volume_overflows",
     ],
 )
 def test_invalid_sequences_fail_before_running(tmp_path, capsys, command, edits):
@@ -322,7 +353,7 @@ def test_fit_spectrum_error_paths(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("column", [0, 1], ids=["voltage", "frequency"])
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e200", "-1e200"])
 def test_fit_spectrum_rejects_non_finite_values(tmp_path, capsys, column, value):
     lines = ia.bundled_path("crossing_data.csv").read_text().splitlines()
     row = lines[3].split(",")

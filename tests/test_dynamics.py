@@ -342,9 +342,9 @@ def test_zero_wait_draws_no_dephasing_kick():
                              noise_std=0.01, repeats=4)
     kicks, noise = ia.draw_shots(np.random.SeedSequence(7), 0.0, params, 50)
     assert kicks is None
-    # Without a kick, each repeat's noise row starts its stream.
-    stream = np.random.SeedSequence(7).spawn(1)[0]
-    np.testing.assert_array_equal(noise[0], np.random.default_rng(stream).standard_normal(50))
+    # Without a kick, shot r's row of the point's stream is all noise.
+    rows = np.random.default_rng(np.random.SeedSequence(7)).standard_normal((4, 50))
+    np.testing.assert_array_equal(noise, rows)
     kicks, _ = ia.draw_shots(np.random.SeedSequence(7), 1e-6, params, 50)
     assert kicks.shape == (4,)
     assert np.all(ia.crossing_rotations(IN_PLANE, 0.0, params) == IN_PLANE[:, None])
@@ -360,18 +360,16 @@ def test_zero_wait_draws_no_dephasing_kick():
     n_noise=st.integers(0, 9),
 )
 @settings(max_examples=60)
-def test_shot_streams_are_numpys_spawned_children(entropy, spawn_key, spawned, repeats,
+def test_shot_rows_come_from_one_stream_per_point(entropy, spawn_key, spawned, repeats,
                                                    kicked, n_noise):
-    # draw_shots derives its children's seed words itself; every value must
-    # equal what numpy's own spawn + default_rng draws, bit for bit.
+    # Shot r takes row r of the point's one stream, kick first, then noise.
     params = ia.SystemParams(omega0_true=OMEGA0, delta0=20 * OMEGA0,
                              dephasing_time=50e-6 if kicked else math.inf,
                              noise_std=0.01 if n_noise else 0.0, repeats=repeats)
     parent = np.random.SeedSequence(entropy, spawn_key=spawn_key, n_children_spawned=spawned)
     kicks, noise = ia.draw_shots(parent, 1e-6, params, n_noise)
     assert parent.n_children_spawned == spawned
-    expected = np.array([np.random.default_rng(child).standard_normal(int(kicked) + n_noise)
-                         for child in parent.spawn(repeats)])
+    expected = np.random.default_rng(parent).standard_normal((repeats, int(kicked) + n_noise))
     if kicked:
         assert np.array_equal(kicks, expected[:, 0])
     else:

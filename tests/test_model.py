@@ -263,7 +263,7 @@ def test_spectroscopy_data_validation():
 
 
 @pytest.mark.parametrize("column", ["voltage", "frequency"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e200, -1e200])
 def test_spectroscopy_data_rejects_non_finite_values(column, value):
     voltage, frequency = np.linspace(0, 5, 6), np.full(6, 1e6)
     (voltage if column == "voltage" else frequency)[2] = value

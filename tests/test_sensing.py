@@ -44,6 +44,8 @@ def test_charge_model_validation():
         ia.ChargeModel(volume_m3=-1.0)
     with pytest.raises(ia.DomainError):
         ia.ChargeModel.from_dimensions(0.0, 1e-9, 1e-9)
+    with pytest.raises(ia.ConfigurationError, match="finite"):
+        ia.ChargeModel.from_dimensions(1e200, 1e200, 1e200)  # the volume overflows
 
 
 def test_reference_rows_recompute_and_flag():
@@ -80,6 +82,10 @@ def test_telegraph_validation():
         ia.TelegraphNoise(rate_hz=0.0, amplitude_hz=1.0)
     with pytest.raises(ia.ConfigurationError):
         ia.TelegraphNoise(rate_hz=1.0, amplitude_hz=-1.0)
+    # a finite mean dwell whose 20-dwell trace span overflows, and a tinier rate
+    for rate in (5e-308, 1e-310):
+        with pytest.raises(ia.ConfigurationError, match="rate_hz"):
+            ia.TelegraphNoise(rate_hz=rate, amplitude_hz=1.0)
 
 
 def test_telegraph_trace_file(tmp_path):
