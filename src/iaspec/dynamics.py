@@ -10,9 +10,9 @@ and Omega0 the (true) minimal splitting. Edges are integrated with
 fixed-step fourth-order Magnus steps, each exponentiated exactly in closed
 form; the wait at the crossing and the ringdown readout have closed forms.
 
-The edge integrator carries each 2x2 matrix as its four entries (00, 01,
-10, 11), each an array over the steps, so the step propagators and their
-ordered product are built with elementwise arithmetic alone.
+The edge integrator stacks its step matrices in one (2, 2, steps) complex
+array, so the step propagators and their ordered product are built with
+broadcast elementwise arithmetic alone.
 """
 from __future__ import annotations
 
@@ -103,14 +103,6 @@ def _validate_step(waveform: PulseWaveform, params: SystemParams) -> float:
     return dt
 
 
-def _product(x, y):
-    """Entries (00, 01, 10, 11) of the 2x2 product x @ y, elementwise over arrays."""
-    x00, x01, x10, x11 = x
-    y00, y01, y10, y11 = y
-    return (x00 * y00 + x01 * y10, x00 * y01 + x01 * y11,
-            x10 * y00 + x11 * y10, x10 * y01 + x11 * y11)
-
-
 def _step_propagators(waveform: PulseWaveform, params: SystemParams):
     """Per-step fourth-order Magnus propagators over pairs of waveform samples.
 
@@ -121,7 +113,7 @@ def _step_propagators(waveform: PulseWaveform, params: SystemParams):
     Delta3)/12 and a_y = (h^2/24) Omega0 (Delta3 - Delta1). Its exponential
     cos|a| I - i (sin|a|/|a|) a.sigma is exact and unitary. The damping
     -gamma/2 commutes with everything and is left to the caller. Returns the
-    entries (r00, r01, r10, r11), each an array over the steps.
+    step matrices stacked along the last axis, shape (2, 2, steps).
     """
     h = _validate_step(waveform, params)
     delta = waveform.detuning
@@ -132,25 +124,28 @@ def _step_propagators(waveform: PulseWaveform, params: SystemParams):
     norm = np.sqrt(a_x * a_x + a_y * a_y + a_z * a_z)
     cos, sinc = np.cos(norm), np.sin(norm) / norm
     i_z, i_x, y = 1j * (sinc * a_z), (-1j * a_x) * sinc, sinc * a_y
-    return cos - i_z, i_x - y, i_x + y, cos + i_z
+    return np.array([cos - i_z, i_x - y, i_x + y, cos + i_z]).reshape(2, 2, -1)
 
 
 def edge_propagator(waveform: PulseWaveform, params: SystemParams) -> np.ndarray:
     """Total 2x2 propagator of one edge: ordered product of the Magnus steps.
 
-    The product is reduced pairwise on the four entry arrays: later times
-    multiply from the left, and an odd last step is carried unchanged into
-    the next round. That costs O(log n) elementwise passes over the steps.
+    The product is reduced pairwise on the stacked step matrices: later
+    times multiply from the left, and an odd last step is carried unchanged
+    into the next round. Each round is (later @ earlier)_ij = later_i0
+    earlier_0j + later_i1 earlier_1j as two broadcast products and a sum,
+    so the whole product costs O(log n) elementwise passes over the steps.
     The damping exp(-gamma t/2) over the whole edge scales the result.
     """
     steps = _step_propagators(waveform, params)
-    while len(steps[0]) > 1:
-        merged = _product([r[1::2] for r in steps], [r[0:-1:2] for r in steps])
-        if len(steps[0]) % 2 == 1:
-            merged = [np.concatenate((m, r[-1:])) for m, r in zip(merged, steps)]
+    while steps.shape[-1] > 1:
+        later, earlier = steps[..., 1::2], steps[..., 0:-1:2]
+        merged = later[:, :1] * earlier[:1] + later[:, 1:] * earlier[1:]
+        if steps.shape[-1] % 2 == 1:
+            merged = np.concatenate((merged, steps[..., -1:]), axis=-1)
         steps = merged
     duration = waveform.time[-1] - waveform.time[0]
-    return math.exp(-0.5 * params.gamma * duration) * np.array([r[0] for r in steps]).reshape(2, 2)
+    return math.exp(-0.5 * params.gamma * duration) * steps[..., 0]
 
 
 def draw_shots(

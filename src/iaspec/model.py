@@ -415,7 +415,8 @@ def fit_avoided_crossing(data: SpectroscopyData) -> tuple[TuningModel, FitReport
     UnderdeterminedFitError
         All points lie on a single branch.
     FitError
-        Optimizer failed to converge; carries the best model so far.
+        The data give no valid starting model, or the optimizer failed to
+        converge; a failed convergence carries the best model so far.
     """
     from scipy.optimize import least_squares
 
@@ -429,7 +430,13 @@ def fit_avoided_crossing(data: SpectroscopyData) -> tuple[TuningModel, FitReport
             f"all points on the {labelled[0]!r} branch: splitting is unconstrained"
         )
 
-    p0 = _vector_from_model(_initial_guess(data))
+    try:
+        p0 = _vector_from_model(_initial_guess(data))
+    except DomainError as exc:
+        u, f = data.voltage, data.frequency_hz
+        raise FitError(f"no starting model from the data envelope of {len(data)} points (voltages "
+                       f"{u.min():g} to {u.max():g} V, frequencies {f.min():g} to {f.max():g} Hz): "
+                       f"{exc}") from exc
     scale = np.array([abs(p0[0]), abs(p0[1]), abs(p0[2]) or 1.0, abs(p0[3]) or 1.0, 1.0, abs(p0[5]) or 1.0])
     n_evaluations = 0
 

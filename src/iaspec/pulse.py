@@ -8,6 +8,7 @@ minimization of the end-of-edge leakage, not analytically.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -138,10 +139,32 @@ def edge_shape(x, c: float = 0.0, d: float = 0.0):
     plateau levels never move.
     """
     x = np.asarray(x, dtype=float)
+    return _shape(np.cos(math.pi * x), np.sin(math.pi * x), c, d)
+
+
+def _shape(cos, sin, c: float, d: float):
+    """`edge_shape` from cos(pi x) and sin(pi x), which do not depend on (c, d)."""
     # Double angles from one cos/sin pair: 1 - cos 2 pi x = 2 sin^2 pi x and
     # sin 2 pi x = 2 sin pi x cos pi x.
-    cos, sin = np.cos(math.pi * x), np.sin(math.pi * x)
     return 0.5 * (1.0 - cos) + 2.0 * sin * (c * sin + d * cos)
+
+
+def _edge_samples(start: float, end: float, n_samples: int):
+    """Times and cos, sin of pi x at n_samples points spanning one edge."""
+    t = np.linspace(start, end, n_samples)
+    x = np.clip((t - start) / (end - start), 0.0, 1.0)
+    return t, np.cos(math.pi * x), np.sin(math.pi * x)
+
+
+def _shaped_edge(spec: RampSpec, tuning: TuningModel, edge: str, n_samples: int, samples):
+    """Times, voltage and detuning of one edge at n_samples points."""
+    start, end, u_start, u_end = spec.edge_span(edge)
+    t, cos, sin = samples(start, end, n_samples)
+    u = u_start + (u_end - u_start) * _shape(cos, sin, *spec.edge_coefficients(edge))
+    # Trig at the endpoints is analytically exact; remove rounding so the
+    # plateau-match invariant holds bit-for-bit.
+    u[0], u[-1] = u_start, u_end
+    return t, u, tuning.detuning(u)
 
 
 def _edge_voltage(spec: RampSpec, edge: str, t) -> np.ndarray:
@@ -172,11 +195,14 @@ class PulseWaveform:
             raise ConfigurationError("waveform must be uniformly sampled")
 
 
-def build_edge_waveform(spec: RampSpec, tuning: TuningModel, edge: str, n_steps: int) -> PulseWaveform:
+def build_edge_waveform(
+    spec: RampSpec, tuning: TuningModel, edge: str, n_steps: int, samples=_edge_samples
+) -> PulseWaveform:
     """Sample one edge at 2*n_steps+1 points (integration midpoints included).
 
     The voltage follows the ramp shape; the detuning is the tuning model
-    evaluated along it.
+    evaluated along it. `samples(start, end, n)` gives the times and the
+    trig of the edge phase (`_edge_samples`, or a caller's memo of it).
     """
     if spec.kind == "ideal":
         raise ConfigurationError("an ideal edge has no waveform")
@@ -187,21 +213,16 @@ def build_edge_waveform(spec: RampSpec, tuning: TuningModel, edge: str, n_steps:
     # per edge keeps the sample rate at 50x that harmonic.
     if n_samples - 1 < MIN_SAMPLES_PER_HARMONIC:
         raise ConfigurationError("waveform sample rate below 50x the correction harmonic")
-    start, end, u_start, u_end = spec.edge_span(edge)
-    t = np.linspace(start, end, n_samples)
-    u = _edge_voltage(spec, edge, t)
-    # Trig at the endpoints is analytically exact; remove rounding so the
-    # plateau-match invariant holds bit-for-bit.
-    u[0], u[-1] = u_start, u_end
+    start, end = spec.edge_span(edge)[:2]
     # Not t[1] - t[0]: late in the pulse that difference loses digits, and
     # the integrator scales every step by the sample period.
-    return PulseWaveform(t, u, tuning.detuning(u), sample_period=(end - start) / (n_samples - 1))
+    sample_period = (end - start) / (n_samples - 1)
+    return PulseWaveform(*_shaped_edge(spec, tuning, edge, n_samples, samples), sample_period)
 
 
-def _peak_detuning_sq(spec: RampSpec, tuning: TuningModel, edge: str) -> float:
+def _peak_detuning_sq(spec: RampSpec, tuning: TuningModel, edge: str, samples=_edge_samples) -> float:
     """Largest squared detuning along one shaped edge, from a 257-sample probe."""
-    probe = build_edge_waveform(spec, tuning, edge, 128)
-    return float(np.max(probe.detuning**2))
+    return float(np.max(_shaped_edge(spec, tuning, edge, 257, samples)[2] ** 2))
 
 
 def plan_edge_steps(
@@ -347,25 +368,28 @@ def edge_infidelity(
     edge: str,
     steps_per_period: int = 200,
     peaks_sq: dict[str, float] | None = None,
+    samples=_edge_samples,
 ) -> float:
     """Leakage 1 - |<target|U_edge|start>|^2 of one edge, damping off.
 
     Start and target are both the in-plane mode: a perfect edge acts as an
     identity on the mode basis (up to phases), which is what preserves the
-    sensing superposition at the crossing. `peaks_sq` goes to `plan_edge_steps`.
+    sensing superposition at the crossing. `peaks_sq` goes to
+    `plan_edge_steps`, `samples` to `build_edge_waveform`.
     """
     from . import dynamics
 
     # step count planned per call: large correction harmonics raise the peak
     # detuning and with it the integration-rate floor
     n_steps = plan_edge_steps(spec, tuning, system.omega0_true, steps_per_period, peaks_sq)
-    waveform = build_edge_waveform(spec, tuning, edge, n_steps)
+    waveform = build_edge_waveform(spec, tuning, edge, n_steps, samples)
     lossless = replace(system, gamma=0.0)
     kmat = dynamics.edge_propagator(waveform, lossless)
     amp_ip = kmat[1, 1]  # start (0,1), project back on (0,1)
     return float(1.0 - abs(amp_ip) ** 2)
 
 
+@functools.lru_cache(maxsize=128)
 def optimize_correction(
     system,
     spec: RampSpec,
@@ -383,13 +407,20 @@ def optimize_correction(
     The objective is evaluated against the splitting stored in `system`:
     pass the current prior-based parameters, not the hidden truth, to mimic
     calibrating against one's best knowledge.
+
+    The search is deterministic and its arguments are frozen and hashable,
+    so each process keeps its last 128 results (bundled `sense` makes 26
+    distinct searches) and answers a repeated call from them.
     """
     from scipy.optimize import minimize
 
     base = replace(spec, kind="corrected")
     # Only `edge` changes shape during the search: probe the other edge once.
     fixed = "trailing" if edge == "leading" else "leading"
-    fixed_peak_sq = {fixed: _peak_detuning_sq(base, tuning, fixed)}
+    fixed_peak_sq = _peak_detuning_sq(base, tuning, fixed)
+    # The edge's times and phase trig do not depend on the trial (c, d): keep
+    # the probe's grid and the last few step counts' grids for this search.
+    samples = functools.lru_cache(maxsize=4)(_edge_samples)
 
     def infidelity(cd) -> float:
         c, d = cd
@@ -399,7 +430,8 @@ def optimize_correction(
             trial = replace(base, c=c, d=d)
         else:
             trial = replace(base, c_trail=c, d_trail=d)
-        return edge_infidelity(system, trial, tuning, edge, steps_per_period, fixed_peak_sq)
+        peaks_sq = {fixed: fixed_peak_sq, edge: _peak_detuning_sq(trial, tuning, edge, samples)}
+        return edge_infidelity(system, trial, tuning, edge, steps_per_period, peaks_sq, samples)
 
     grid = np.linspace(-CORRECTION_BOUND, CORRECTION_BOUND, CORRECTION_GRID_POINTS)
     if 0.0 not in grid:
@@ -408,7 +440,7 @@ def optimize_correction(
     best_cd, best_val = (0.0, 0.0), soft_inf
     for c in grid:
         for d in grid:
-            val = infidelity((c, d))
+            val = soft_inf if c == d == 0.0 else infidelity((c, d))
             if val < best_val:
                 best_cd, best_val = (float(c), float(d)), val
 

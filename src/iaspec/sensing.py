@@ -29,6 +29,10 @@ DEFAULT_RESPONSE_HZ_PER_DENSITY = 26.0
 # Beam volume: 55 um x 250 nm x 100 nm.
 DEFAULT_DIMENSIONS_M = (55e-6, 250e-9, 100e-9)
 
+# Largest accepted beam volume, m^3: 7e17 times the bundled beam. It keeps
+# the electron count of any density below 1e289 C/m^3 finite.
+MAX_VOLUME_M3 = 1.0
+
 # A switching trace spans this many mean dwell times, sampled 20 times per dwell.
 TELEGRAPH_TRACE_DWELLS = 20.0
 
@@ -47,8 +51,9 @@ class ChargeModel:
     def __post_init__(self):
         if self.response_hz_per_density <= 0.0:
             raise ConfigurationError("response must be positive")
-        if not 0.0 < self.volume_m3 < math.inf:
-            raise ConfigurationError(f"volume {self.volume_m3:g} m^3 must be positive and finite")
+        if not 0.0 < self.volume_m3 <= MAX_VOLUME_M3:
+            raise ConfigurationError(f"volume {self.volume_m3:g} m^3 must be positive, finite "
+                                     f"and at most {MAX_VOLUME_M3:g} m^3")
 
     @classmethod
     def from_dimensions(cls, length_m: float, width_m: float, thickness_m: float,

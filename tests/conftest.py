@@ -93,6 +93,16 @@ def make_design(tuning: ia.TuningModel, **overrides) -> ia.SequenceDesign:
     return ia.SequenceDesign(**kwargs)
 
 
+@pytest.fixture(autouse=True)
+def fresh_search_memo():
+    """Start every test without stored correction searches.
+
+    Tests that patch the search's collaborators must see it run, and a
+    result found under a patch must not reach a later test.
+    """
+    ia.optimize_correction.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def tuning() -> ia.TuningModel:
     return make_tuning()

@@ -48,11 +48,9 @@ def test_run_ias_writes_the_full_artifact_set(tmp_path):
     assert meta["ramp_kind"] == "ideal"
 
 
-def test_reruns_are_byte_identical_modulo_wall_clock(tmp_path):
-    scenario = write_scenario(tmp_path)
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["run-ias", str(scenario), "--out", str(out_a)]) == 0
-    assert main(["run-ias", str(scenario), "--out", str(out_b)]) == 0
+def assert_same_outputs(out_a, out_b):
+    """Both runs wrote the same files, byte for byte but the manifest's wall clock."""
+    assert sorted(p.name for p in out_a.iterdir()) == sorted(p.name for p in out_b.iterdir())
     for path_a in out_a.iterdir():
         path_b = out_b / path_a.name
         if path_a.name == "manifest.json":
@@ -63,6 +61,28 @@ def test_reruns_are_byte_identical_modulo_wall_clock(tmp_path):
             assert doc_a == doc_b
         else:
             assert path_a.read_bytes() == path_b.read_bytes()
+
+
+def test_reruns_are_byte_identical_modulo_wall_clock(tmp_path):
+    scenario = write_scenario(tmp_path)
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(["run-ias", str(scenario), "--out", str(out_a)]) == 0
+    assert main(["run-ias", str(scenario), "--out", str(out_b)]) == 0
+    assert_same_outputs(out_a, out_b)
+
+
+def test_in_process_sense_reruns_are_byte_identical(tmp_path):
+    # The second run is served every correction search from the memo.
+    scenario = write_scenario(
+        tmp_path, kind="perturbation", sequence={"ramp_kind": "corrected"},
+        perturbation={"shift_true_hz": 3440.0, "n_runs": 2},
+    )
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(["sense", str(scenario), "--out", str(out_a)]) == 0
+    searched = ia.optimize_correction.cache_info().misses
+    assert main(["sense", str(scenario), "--out", str(out_b)]) == 0
+    assert ia.optimize_correction.cache_info().misses == searched
+    assert_same_outputs(out_a, out_b)
 
 
 def test_flat_trace_aborts_with_partial_records(tmp_path, capsys):
@@ -201,6 +221,8 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
                    "telegraph": {"rate_hz": 1e-310, "amplitude_hz": 1.0, "enabled": True}}),
         ("sense", {"kind": "perturbation", "perturbation": {"shift_true_hz": 3440.0},
                    "charge": {"dimensions_m": [1e200, 1e200, 1e200]}}),
+        ("sense", {"kind": "perturbation", "perturbation": {"shift_true_hz": 3440.0},
+                   "charge": {"dimensions_m": [1e100, 1e100, 1e100]}}),
     ],
     ids=[
         "fringes_1", "windowed_fringes_3", "samples_per_fringe_1", "ringdown_samples_2",
@@ -215,6 +237,7 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
         "pad_factor_1e9", "sweep_fft_over_cap", "oop_coefficient_overflows_rad_s",
         "oop_coefficient_overflows_detuning", "perturbed_detuning_ratio_below_10",
         "perturbed_splitting_zero", "telegraph_rate_1e-310", "charge_volume_overflows",
+        "charge_volume_1e300",
     ],
 )
 def test_invalid_sequences_fail_before_running(tmp_path, capsys, command, edits):
@@ -364,6 +387,24 @@ def test_fit_spectrum_rejects_non_finite_values(tmp_path, capsys, column, value)
     assert main(["fit-spectrum", str(path), "--out", str(tmp_path / "fit")]) == 1
     err = capsys.readouterr().err
     assert f"{path}:4: non-finite value" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "fit").exists()
+
+
+def test_fit_spectrum_without_a_starting_model_is_a_fit_error(tmp_path, capsys):
+    # Accepted but extreme rows: frequencies of 1e75 on lines 4-5 and
+    # voltages of +-1e75 on lines 6-7 leave the envelope guess no valid model.
+    lines = ia.bundled_path("crossing_data.csv").read_text().splitlines()
+    for index, column, value in [(3, 1, "1e75"), (4, 1, "1e75"), (5, 0, "1e75"), (6, 0, "-1e75")]:
+        row = lines[index].split(",")
+        row[column] = value
+        lines[index] = ",".join(row)
+    path = tmp_path / "spectrum.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["fit-spectrum", str(path), "--out", str(tmp_path / "fit")]) == 2
+    err = capsys.readouterr().err
+    assert "no starting model from the data envelope of 93 points" in err
+    assert "voltages -1e+75 to 1e+75 V" in err
     assert "Traceback" not in err
     assert not (tmp_path / "fit").exists()
 

@@ -112,6 +112,25 @@ def rk4_propagator(waveform: ia.PulseWaveform, params: ia.SystemParams) -> np.nd
     return steps[..., 0]
 
 
+def entrywise_product(steps) -> np.ndarray:
+    """The pairwise product of step matrices as four entry arrays (00, 01, 10, 11).
+
+    The reduction `ia.edge_propagator` used before it stacked its steps:
+    later steps multiply from the left, an odd last step is carried over,
+    and x @ y is formed entry by entry as x00 y00 + x01 y10 and so on.
+    """
+    entries = [steps[0, 0], steps[0, 1], steps[1, 0], steps[1, 1]]
+    while len(entries[0]) > 1:
+        (x00, x01, x10, x11) = [r[1::2] for r in entries]
+        (y00, y01, y10, y11) = [r[0:-1:2] for r in entries]
+        merged = [x00 * y00 + x01 * y10, x00 * y01 + x01 * y11,
+                  x10 * y00 + x11 * y10, x10 * y01 + x11 * y11]
+        if len(entries[0]) % 2 == 1:
+            merged = [np.concatenate((m, r[-1:])) for m, r in zip(merged, entries)]
+        entries = merged
+    return np.array([r[0] for r in entries]).reshape(2, 2)
+
+
 def magnus_loop(
     state: np.ndarray, waveform: ia.PulseWaveform, params: ia.SystemParams
 ) -> np.ndarray:
@@ -277,6 +296,24 @@ def test_propagator_matches_the_sequential_magnus_loop(n_steps, gamma, start):
     direct = ia.edge_propagator(wf, params) @ start
     reference = magnus_loop(start, wf, params)
     assert np.linalg.norm(direct - reference) <= 1e-12
+
+
+@given(
+    pairs=st.integers(0, 400),
+    odd=st.booleans(),
+    scale=st.floats(-1.0, 1.0),
+    gamma=st.one_of(st.just(0.0), st.floats(1.0, 1e5)),
+)
+def test_stacked_product_equals_the_entrywise_reduction_bit_for_bit(pairs, odd, scale, gamma):
+    n_steps = max(2 * pairs + odd, 1)
+    wf = floor_waveform(n_steps)
+    wf = replace(wf, detuning=scale * wf.detuning)
+    params = ia.SystemParams(omega0_true=OMEGA0, delta0=20 * OMEGA0, gamma=gamma)
+    duration = wf.time[-1] - wf.time[0]
+    expected = math.exp(-0.5 * gamma * duration) * entrywise_product(
+        ia.dynamics._step_propagators(wf, params)
+    )
+    np.testing.assert_array_equal(ia.edge_propagator(wf, params).view(float), expected.view(float))
 
 
 @given(

@@ -279,6 +279,79 @@ def test_corrected_edge_infidelity_lower_at_true_system(
         assert corrected < soft
 
 
+# The bundled scenarios share their tuning, sequence and prior, so they
+# share these corrections.
+BUNDLED_LEAD = ia.CorrectionResult(-0.5, 1.0, 0.004627420056921183, 0.36483821434583874)
+BUNDLED_TRAIL = ia.CorrectionResult(
+    -0.49745578879318875, -0.5308122813573122, 0.01108915296824331, 0.46237949660935884
+)
+
+
+@pytest.mark.parametrize("name", ia.bundled_scenario_names())
+def test_bundled_prior_corrections_are_pinned(name):
+    scenario = ia.load_scenario(ia.bundled_path(name))
+    assert scenario.design.optimize_edges(scenario.prior) == (BUNDLED_LEAD, BUNDLED_TRAIL)
+
+
+def fresh_searches(design, prior):
+    """`optimize_edges` with the memo bypassed."""
+    assumed = replace(design.system(), omega0_true=prior)
+    return tuple(
+        ia.optimize_correction.__wrapped__(
+            assumed, design.ramp_for(prior), design.tuning, edge,
+            steps_per_period=design.optimizer_steps_per_period,
+        )
+        for edge in ("leading", "trailing")
+    )
+
+
+def test_baseline_and_perturbed_designs_share_one_search():
+    experiment = ia.load_scenario(ia.bundled_path("charge_step.json")).perturbation
+    baseline = experiment.design.optimize_edges(experiment.prior)
+    perturbed = experiment.perturbed.optimize_edges(experiment.prior)
+    assert all(a is b for a, b in zip(baseline, perturbed))
+    info = ia.optimize_correction.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+    assert perturbed == fresh_searches(experiment.perturbed, experiment.prior)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"u_readout": -11.0},
+        {"edge_cycles": 1.1},
+        {"optimizer_steps_per_period": 60},
+    ],
+    ids=["u_readout", "edge_cycles", "optimizer_steps_per_period"],
+)
+def test_search_memo_misses_on_every_input_the_search_reads(calibrated_design, change):
+    calibrated_design.optimize_edges(PRIOR)
+    changed = replace(calibrated_design, **change)
+    assert changed.optimize_edges(PRIOR) == fresh_searches(changed, PRIOR)
+    info = ia.optimize_correction.cache_info()
+    assert (info.misses, info.hits) == (4, 0)
+
+
+def test_search_memo_misses_on_a_new_tuning(calibrated_design):
+    # Same system and template, so only the tuning tells the calls apart.
+    system = replace(calibrated_design.system(), omega0_true=PRIOR)
+    template = calibrated_design.ramp_for(PRIOR)
+    tuning = calibrated_design.tuning
+    stiffer = replace(tuning, oop=replace(tuning.oop, coefficient=TWO_PI * 3700.0))
+    first = ia.optimize_correction(system, template, tuning, "leading")
+    second = ia.optimize_correction(system, template, stiffer, "leading")
+    assert second == ia.optimize_correction.__wrapped__(system, template, stiffer, "leading")
+    assert second != first
+    assert ia.optimize_correction.cache_info().misses == 2
+
+
+def test_repeated_invalid_prior_still_raises(calibrated_design):
+    prior = calibrated_design.delta0()  # detuning ratio 1, below the floor of 10
+    for _ in range(2):
+        with pytest.raises(ia.DomainError, match="initialization detuning too small"):
+            calibrated_design.optimize_edges(prior)
+
+
 def test_waveform_csv_header(tmp_path):
     scenario = write_scenario(tmp_path, sequence={"ramp_kind": "soft"}, filter={})
     out = tmp_path / "out"

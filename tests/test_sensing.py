@@ -46,6 +46,10 @@ def test_charge_model_validation():
         ia.ChargeModel.from_dimensions(0.0, 1e-9, 1e-9)
     with pytest.raises(ia.ConfigurationError, match="finite"):
         ia.ChargeModel.from_dimensions(1e200, 1e200, 1e200)  # the volume overflows
+    # A finite but huge volume would overflow the electron count.
+    ia.ChargeModel(volume_m3=ia.sensing.MAX_VOLUME_M3)
+    with pytest.raises(ia.ConfigurationError, match="at most 1 m\\^3"):
+        ia.ChargeModel.from_dimensions(1e100, 1e100, 1e100)
 
 
 def test_reference_rows_recompute_and_flag():
