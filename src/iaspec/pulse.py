@@ -389,6 +389,53 @@ def edge_infidelity(
     return float(1.0 - abs(amp_ip) ** 2)
 
 
+def _nelder_mead(f, x0):
+    """Minimize f from x0 by the simplex method of Nelder & Mead, Comput. J. 7, 308 (1965).
+
+    Replays SciPy 1.17's `minimize(f, x0, method="Nelder-Mead")` at xatol 1e-6, fatol
+    1e-12 and maxiter 600 bit for bit; returns the best vertex and the least value.
+    """
+    # Adapted from SciPy 1.17's `_minimize_neldermead` (non-adaptive branch), Copyright
+    # (c) 2001-2002 Enthought, Inc. and 2003- SciPy Developers, BSD 3-Clause License.
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    sim[1:][np.diag_indices(n)] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    fsim = np.array([f(x) for x in sim], dtype=float)
+
+    def by_value(sim, fsim):
+        ind = np.argsort(fsim)
+        return sim[ind], fsim[ind]
+
+    # SciPy sorts the first simplex twice; keep both so ties order alike on any argsort.
+    sim, fsim = by_value(*by_value(sim, fsim))
+    for _ in range(599):  # maxiter 600 counts the first simplex as iteration 1
+        if np.max(np.abs(sim[1:] - sim[0])) <= 1e-6 and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-12:
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:  # contract outside the worst vertex if the reflection beats it, else inside
+            outside = fxr < fsim[-1]
+            xc = ((1 + psi * rho) * xbar - psi * rho * sim[-1] if outside
+                  else (1 - psi) * xbar + psi * sim[-1])
+            fxc = f(xc)
+            if fxc <= fxr if outside else fxc < fsim[-1]:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink toward the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        sim, fsim = by_value(sim, fsim)
+    return sim[0], np.min(fsim)
+
+
 @functools.lru_cache(maxsize=128)
 def optimize_correction(
     system,
@@ -400,9 +447,11 @@ def optimize_correction(
     """Find first-harmonic coefficients minimizing end-of-edge leakage.
 
     A coarse grid, CORRECTION_GRID_POINTS per axis over the box |c|, |d| <= 1,
-    seeds a Nelder-Mead refinement; the soft ramp (0, 0) is always among the
-    candidates, so the optimized edge never does worse than the soft one.
-    Results above infidelity 0.2 carry a warning (value still returned).
+    seeds a Nelder-Mead refinement (`_nelder_mead`: SciPy 1.17's iterates, bit
+    for bit, without importing SciPy's optimizer); the soft ramp (0, 0) is
+    always among the candidates, so the optimized edge never does worse than
+    the soft one. Results above infidelity 0.2 carry a warning (value still
+    returned).
 
     The objective is evaluated against the splitting stored in `system`:
     pass the current prior-based parameters, not the hidden truth, to mimic
@@ -412,8 +461,6 @@ def optimize_correction(
     so each process keeps its last 128 results (bundled `sense` makes 26
     distinct searches) and answers a repeated call from them.
     """
-    from scipy.optimize import minimize
-
     base = replace(spec, kind="corrected")
     # Only `edge` changes shape during the search: probe the other edge once.
     fixed = "trailing" if edge == "leading" else "leading"
@@ -444,14 +491,9 @@ def optimize_correction(
             if val < best_val:
                 best_cd, best_val = (float(c), float(d)), val
 
-    result = minimize(
-        infidelity,
-        np.array(best_cd),
-        method="Nelder-Mead",
-        options={"xatol": 1e-6, "fatol": 1e-12, "maxiter": 600},
-    )
-    if result.fun <= best_val:
-        best_cd, best_val = (float(result.x[0]), float(result.x[1])), float(result.fun)
+    x, fun = _nelder_mead(infidelity, np.array(best_cd))
+    if fun <= best_val:
+        best_cd, best_val = (float(x[0]), float(x[1])), float(fun)
 
     warning = None
     if best_val > STAGNATION_INFIDELITY:

@@ -33,6 +33,11 @@ DEFAULT_DIMENSIONS_M = (55e-6, 250e-9, 100e-9)
 # the electron count of any density below 1e289 C/m^3 finite.
 MAX_VOLUME_M3 = 1.0
 
+# Smallest accepted splitting response, Hz per (C/m^3), 3.8e-252 times the bundled
+# 26. Shifts here are tens of kHz; any shift up to 1e39 Hz maps to at most 1e289
+# C/m^3, so the density and its electron count in MAX_VOLUME_M3 stay finite.
+MIN_RESPONSE_HZ_PER_DENSITY = 1e-250
+
 # A switching trace spans this many mean dwell times, sampled 20 times per dwell.
 TELEGRAPH_TRACE_DWELLS = 20.0
 
@@ -49,8 +54,9 @@ class ChargeModel:
     volume_m3: float = math.prod(DEFAULT_DIMENSIONS_M)
 
     def __post_init__(self):
-        if self.response_hz_per_density <= 0.0:
-            raise ConfigurationError("response must be positive")
+        if not self.response_hz_per_density >= MIN_RESPONSE_HZ_PER_DENSITY:
+            raise ConfigurationError(f"response {self.response_hz_per_density:g} Hz per C/m^3 "
+                                     f"must be at least {MIN_RESPONSE_HZ_PER_DENSITY:g}")
         if not 0.0 < self.volume_m3 <= MAX_VOLUME_M3:
             raise ConfigurationError(f"volume {self.volume_m3:g} m^3 must be positive, finite "
                                      f"and at most {MAX_VOLUME_M3:g} m^3")

@@ -223,6 +223,8 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
                    "charge": {"dimensions_m": [1e200, 1e200, 1e200]}}),
         ("sense", {"kind": "perturbation", "perturbation": {"shift_true_hz": 3440.0},
                    "charge": {"dimensions_m": [1e100, 1e100, 1e100]}}),
+        ("sense", {"kind": "perturbation", "perturbation": {"shift_true_hz": 3440.0},
+                   "charge": {"response_hz_per_density": 1e-305}}),
     ],
     ids=[
         "fringes_1", "windowed_fringes_3", "samples_per_fringe_1", "ringdown_samples_2",
@@ -237,7 +239,7 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
         "pad_factor_1e9", "sweep_fft_over_cap", "oop_coefficient_overflows_rad_s",
         "oop_coefficient_overflows_detuning", "perturbed_detuning_ratio_below_10",
         "perturbed_splitting_zero", "telegraph_rate_1e-310", "charge_volume_overflows",
-        "charge_volume_1e300",
+        "charge_volume_1e300", "charge_response_1e-305",
     ],
 )
 def test_invalid_sequences_fail_before_running(tmp_path, capsys, command, edits):
@@ -522,17 +524,43 @@ def test_show_pulse_on_the_bundled_comparison_scenario(tmp_path):
     assert json.loads((out_soft / "pulse.json").read_text())["ramp_soft"] == doc["ramp_soft"]
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # Only fitting and the correction search need the optimizer, and only
-    # shot simulation needs numpy.random; every command pays for the import.
+def run_probe(probe: str) -> str:
+    """Stdout of `probe` run in a fresh interpreter that imports this iaspec."""
     src = str(Path(ia.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    probe = ("import sys, iaspec; "
-             "print('scipy.optimize' in sys.modules, 'numpy.random' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False False"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # Only fitting needs the optimizer, and only shot simulation needs
+    # numpy.random; every command pays for the import.
+    probe = ("import sys, iaspec; "
+             "print('scipy.optimize' in sys.modules, 'numpy.random' in sys.modules)")
+    assert run_probe(probe) == "False False"
+
+
+def test_correction_searches_leave_scipy_optimize_unloaded(tmp_path):
+    # The correction search runs its own Nelder-Mead, so corrected-ramp
+    # run-ias and sense load neither the optimizer nor scipy.linalg.
+    ias = write_scenario(tmp_path, name="ias", sequence={"ramp_kind": "corrected"})
+    sense = write_scenario(
+        tmp_path, name="sense", kind="perturbation", sequence={"ramp_kind": "corrected"},
+        perturbation={"shift_true_hz": 3440.0, "n_runs": 2},
+    )
+    commands = [["run-ias", str(ias), "--out", str(tmp_path / "ias_out")],
+                ["sense", str(sense), "--out", str(tmp_path / "sense_out")]]
+    probe = ("import contextlib, io, sys, iaspec; from iaspec.cli import main\n"
+             f"for argv in {commands!r}:\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        assert main(argv) == 0\n"
+             "print(iaspec.optimize_correction.cache_info().misses, "
+             "'scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)")
+    searches, *loaded = run_probe(probe).split()
+    assert int(searches) > 0
+    assert loaded == ["False", "False"]
 
 
 def test_bundled_scenarios_all_load():

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 import iaspec as ia
 from iaspec.cli import main
-from iaspec.pulse import edge_steps_bound
+from iaspec.pulse import _nelder_mead, edge_steps_bound
 
 from conftest import PRIOR, TRUTH, TWO_PI, make_design, write_scenario
 
@@ -291,6 +292,79 @@ BUNDLED_TRAIL = ia.CorrectionResult(
 def test_bundled_prior_corrections_are_pinned(name):
     scenario = ia.load_scenario(ia.bundled_path(name))
     assert scenario.design.optimize_edges(scenario.prior) == (BUNDLED_LEAD, BUNDLED_TRAIL)
+
+
+def quadratic(center, scales, tilt, wall):
+    """A 2-D quadratic, optionally behind the search's `1 + |c| + |d|` out-of-box wall."""
+    (cx, cy), (sx, sy) = center, scales
+    cross = tilt * math.sqrt(sx * sy)
+
+    def f(x):
+        c, d = x
+        if wall and (abs(c) > 1.0 or abs(d) > 1.0):
+            return 1.0 + (abs(c) + abs(d))
+        u, v = c - cx, d - cy
+        return sx * u * u + sy * v * v + cross * u * v
+
+    return f
+
+
+def assert_replays_scipy(f, x0):
+    """Check `_nelder_mead` against scipy bit for bit; return scipy's evaluations per iteration."""
+    ours, theirs, marks = [], [], []
+
+    def recorded(points):
+        def g(x):
+            points.append(np.array(x, dtype=float))
+            return f(x)
+        return g
+
+    x, fun = _nelder_mead(recorded(ours), np.array(x0, dtype=float))
+    result = minimize(recorded(theirs), np.array(x0, dtype=float), method="Nelder-Mead",
+                      options={"xatol": 1e-6, "fatol": 1e-12, "maxiter": 600},
+                      callback=lambda _: marks.append(len(theirs)))
+    assert np.array(x).view(np.uint64).tolist() == result.x.view(np.uint64).tolist()
+    assert np.float64(fun).view(np.uint64) == np.float64(result.fun).view(np.uint64)
+    assert np.array(ours).view(np.uint64).tolist() == np.array(theirs).view(np.uint64).tolist()
+    return np.diff([len(x0) + 1] + marks)
+
+
+# A start of 0 takes scipy's 0.00025 step instead of the 5% one.
+coordinate = st.one_of(st.just(0.0), st.floats(-1.5, 1.5))
+
+
+@given(
+    center=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    scales=st.tuples(st.floats(1e-2, 1e2), st.floats(1e-2, 1e2)),
+    tilt=st.floats(-1.5, 1.5),
+    wall=st.booleans(),
+    x0=st.tuples(coordinate, coordinate),
+)
+def test_nelder_mead_replays_scipy_bit_for_bit(center, scales, tilt, wall, x0):
+    assert_replays_scipy(quadratic(center, scales, tilt, wall), x0)
+
+
+def test_nelder_mead_replay_covers_the_shrink_step():
+    # n + 2 evaluations in one iteration: the reflection, a failed contraction, n shrunk vertices.
+    counts = assert_replays_scipy(quadratic((-0.25, 0.75), (10.0, 30.0), 0.0, True), (0.0, 0.0))
+    assert 4 in counts
+
+
+@pytest.mark.parametrize(
+    "f, x0",
+    [(lambda x: 1.0, (0.3, -0.7)),
+     (lambda x: float(math.floor(3.0 * x[0]) + math.floor(3.0 * x[1])), (0.0, 0.0))],
+    ids=["flat", "staircase"],
+)
+def test_nelder_mead_replay_breaks_ties_like_scipy(f, x0):
+    # Equal values decide between contraction and shrink by strict or loose comparison.
+    assert_replays_scipy(f, x0)
+
+
+def test_nelder_mead_replay_stops_at_maxiter():
+    # Too flat at its minimum for fatol 1e-12: SciPy runs iterations 1-599 of maxiter 600.
+    counts = assert_replays_scipy(lambda x: abs(x[0]) ** 0.1 + abs(x[1]) ** 0.1, (0.0, 0.5))
+    assert len(counts) == 599
 
 
 def fresh_searches(design, prior):

@@ -50,6 +50,14 @@ def test_charge_model_validation():
     ia.ChargeModel(volume_m3=ia.sensing.MAX_VOLUME_M3)
     with pytest.raises(ia.ConfigurationError, match="at most 1 m\\^3"):
         ia.ChargeModel.from_dimensions(1e100, 1e100, 1e100)
+    # A tiny response would overflow the density; at the floor a 1e39 Hz shift
+    # still gives a finite electron count in the largest volume.
+    floor = ia.sensing.MIN_RESPONSE_HZ_PER_DENSITY
+    extreme = ia.ChargeModel(response_hz_per_density=floor, volume_m3=ia.sensing.MAX_VOLUME_M3)
+    assert math.isfinite(extreme.shift_to_electrons(1e39))
+    for response in (np.nextafter(floor, 0.0), 1e-305, math.nan):
+        with pytest.raises(ia.ConfigurationError, match="at least 1e-250"):
+            ia.ChargeModel(response_hz_per_density=response)
 
 
 def test_reference_rows_recompute_and_flag():
