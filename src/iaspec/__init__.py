@@ -48,7 +48,6 @@ from .pulse import (
     plan_edge_steps,
 )
 from .dynamics import (
-    RingdownRecord,
     SystemParams,
     crossing_rotations,
     draw_shots,

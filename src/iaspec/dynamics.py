@@ -193,26 +193,6 @@ def crossing_rotations(
     return damp * np.array([cos * a[0] - 1.0j * sin * a[1], cos * a[1] - 1.0j * sin * a[0]])
 
 
-@dataclass
-class RingdownRecord:
-    """Ringdown readouts: sampled decay envelopes plus their exponential fits.
-
-    `signal` is the demodulated energy-proportional envelope, which decays
-    with time constant 1/gamma; `fitted_amplitude` is the fit extrapolated
-    back to the protocol origin t = 0, compensating the damping accumulated
-    during the whole sequence. From `ringdown_readouts` the signal has one
-    row per shot and the fit fields are arrays over the shots, NaN where
-    the readout was lost; from `simulate_ringdown` they describe one shot.
-    """
-
-    time: np.ndarray
-    signal: np.ndarray
-    fitted_amplitude: float | np.ndarray
-    fitted_tau: float | np.ndarray
-    n_used: int | np.ndarray
-    start_time: float
-
-
 def ringdown_readouts(
     amplitudes: np.ndarray,
     params: SystemParams,
@@ -220,18 +200,19 @@ def ringdown_readouts(
     noise: np.ndarray | None = None,
     start_time: float = 0.0,
     n_samples: int = DEFAULT_RINGDOWN_SAMPLES,
-) -> RingdownRecord:
-    """Simulate and fit one ringdown readout per amplitude.
+) -> np.ndarray:
+    """Extrapolated amplitude of one ringdown readout per input amplitude.
 
     Generates amplitude * exp(-t/tau) with tau = 1/gamma starting at
     `start_time` on the protocol clock, adds Gaussian noise of std
     params.noise_std per sample (`noise`: standard-normal draws, one row
     of n_samples per shot, needed when the std is positive), excludes
     samples below the noise floor (3 sigma), least-squares fits the log
-    envelope and extrapolates to the protocol origin. A readout is lost
-    (NaN) when fewer than two noisy samples survive the floor or its
-    samples are degenerate in time; a noiseless readout that keeps fewer
-    than two (amplitude 0) takes the exact analytic value instead.
+    envelope and extrapolates it to the protocol origin t = 0, undoing the
+    damping of the whole sequence. NaN marks a lost readout: fewer than two
+    noisy samples survive the floor, or they are degenerate in time; a
+    noiseless readout that keeps fewer than two (amplitude 0) takes the
+    exact analytic value instead.
     """
     amplitudes = np.asarray(amplitudes, dtype=float)
     if np.any(amplitudes < 0.0) or np.any(amplitudes > 1.0 + 1e-9):
@@ -269,26 +250,13 @@ def ringdown_readouts(
         # readouts normalize a whole trace. min() keeps an overflowing
         # extrapolation finite instead of raising OverflowError.
         fitted = np.array([math.exp(min(v, 709.0)) for v in intercept.tolist()])
-        fitted[denom == 0.0] = np.nan
-        fitted_tau = np.where(slope < 0.0, -1.0 / slope, math.inf)
+    fitted[denom == 0.0] = np.nan
     short = n_used < 2
     if sigma == 0.0:
         # Exact noiseless model: the fit is analytic (covers amplitude 0).
         boost = math.exp(start_time / tau) if math.isfinite(tau) else 1.0
-        fitted = np.where(short, amplitudes * boost, fitted)
-        fitted_tau = np.where(short, tau, fitted_tau)
-        n_used = np.where(short, n_samples, n_used)
-    else:
-        fitted = np.where(short, np.nan, fitted)
-    fitted_tau = np.where(np.isnan(fitted), np.nan, fitted_tau)
-    return RingdownRecord(
-        time=t,
-        signal=signal,
-        fitted_amplitude=fitted,
-        fitted_tau=fitted_tau,
-        n_used=n_used,
-        start_time=start_time,
-    )
+        return np.where(short, amplitudes * boost, fitted)
+    return np.where(short, np.nan, fitted)
 
 
 def simulate_ringdown(
@@ -298,31 +266,18 @@ def simulate_ringdown(
     rng: np.random.Generator | None = None,
     start_time: float = 0.0,
     n_samples: int = DEFAULT_RINGDOWN_SAMPLES,
-) -> RingdownRecord:
+) -> float:
     """One shot of `ringdown_readouts`, its noise drawn from rng.
 
-    Raises
-    ------
-    ReadoutError
-        The readout is lost: fewer than two noisy samples survive above
-        the noise floor, or they are degenerate in time.
+    Returns the shot's extrapolated amplitude; raises ReadoutError when the
+    readout is lost.
     """
     noise = None
     if params.noise_std > 0.0 and n_samples >= 4:  # bad counts fail in ringdown_readouts
         noise = (rng if rng is not None else np.random.default_rng()).standard_normal(
             (1, n_samples)
         )
-    batch = ringdown_readouts(np.array([amplitude]), params, duration, noise, start_time, n_samples)
-    n_used = int(batch.n_used[0])
-    if n_used < 2:
-        raise ReadoutError(f"ringdown lost below the noise floor ({n_used} usable samples)")
-    if math.isnan(batch.fitted_amplitude[0]):
-        raise ReadoutError("ringdown samples degenerate in time")
-    return RingdownRecord(
-        time=batch.time,
-        signal=batch.signal[0],
-        fitted_amplitude=float(batch.fitted_amplitude[0]),
-        fitted_tau=float(batch.fitted_tau[0]),
-        n_used=n_used,
-        start_time=start_time,
-    )
+    (value,) = ringdown_readouts([amplitude], params, duration, noise, start_time, n_samples)
+    if math.isnan(value):
+        raise ReadoutError("ringdown readout lost: no usable fit above the noise floor")
+    return float(value)

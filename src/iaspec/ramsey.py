@@ -89,9 +89,6 @@ class RamseyTrace:
         self.p_return = np.asarray(self.p_return, dtype=float)
         self.p_std = np.asarray(self.p_std, dtype=float)
 
-    def __len__(self):
-        return len(self.t_w)
-
 
 def _edge_propagators(config: RamseyConfig):
     """(K_lead, K_trail, edge_time). Identity pair for ideal edges."""
@@ -140,7 +137,7 @@ def _measure_points(config: RamseyConfig, t_w_values: np.ndarray, seed: int) -> 
             noise=noise,
             start_time=2.0 * edge_time + t_w,
             n_samples=config.ringdown_samples,
-        ).fitted_amplitude
+        )
     return out
 
 

@@ -48,7 +48,7 @@ def test_ideal_trace_follows_the_fringe_law(ideal_trace):
 
 
 def test_trace_shape_and_metadata(ideal_trace):
-    assert len(ideal_trace) == 41  # 4 fringes x 10 samples + 1
+    assert len(ideal_trace.t_w) == 41  # 4 fringes x 10 samples + 1
     assert ideal_trace.p_return[0] == pytest.approx(1.0, abs=1e-12)
     assert ideal_trace.metadata["reference"] == pytest.approx(1.0, abs=1e-12)
     assert ideal_trace.metadata["clipped_values"] == 0
@@ -261,8 +261,8 @@ def test_noiseless_readouts_of_zero_amplitude_take_the_analytic_value():
     amplitudes = np.array([0.0, 0.3, 0.0, 1.0])
     batch = ia.ringdown_readouts(amplitudes, params, start_time=1e-4)
     reference = [reference_ringdown(a, params, None, None, 1e-4, 50) for a in amplitudes]
-    np.testing.assert_allclose(batch.fitted_amplitude, reference, rtol=1e-12, atol=0.0)
-    assert batch.fitted_amplitude[0] == 0.0
+    np.testing.assert_allclose(batch, reference, rtol=1e-12, atol=0.0)
+    assert batch[0] == 0.0
 
 
 def test_one_shot_readout_equals_its_batched_row():
@@ -273,17 +273,15 @@ def test_one_shot_readout_equals_its_batched_row():
     assert kicks is None
     amplitudes = np.linspace(0.0, 1.0, params.repeats)
     batch = ia.ringdown_readouts(amplitudes, params, noise=noise, start_time=1e-4)
-    assert np.isnan(batch.fitted_amplitude).any()
+    assert np.isnan(batch).any()
     rng = np.random.default_rng(point_seed)  # shot r reads row r of the point's stream
     for r, amplitude in enumerate(amplitudes):
         try:
             value = ia.simulate_ringdown(amplitude, params, rng=rng, start_time=1e-4)
         except ia.ReadoutError:
-            assert math.isnan(batch.fitted_amplitude[r])
+            assert math.isnan(batch[r])
             continue
-        assert value.fitted_amplitude == batch.fitted_amplitude[r]
-        assert value.fitted_tau == batch.fitted_tau[r]
-        assert value.n_used == batch.n_used[r]
+        assert value == batch[r]
 
 
 def test_lost_readouts_are_counted_in_the_metadata(tuning):
