@@ -210,9 +210,10 @@ def ringdown_readouts(
     samples below the noise floor (3 sigma), least-squares fits the log
     envelope and extrapolates it to the protocol origin t = 0, undoing the
     damping of the whole sequence. NaN marks a lost readout: fewer than two
-    noisy samples survive the floor, or they are degenerate in time; a
-    noiseless readout that keeps fewer than two (amplitude 0) takes the
-    exact analytic value instead.
+    noisy samples survive the floor, they are degenerate in time, or the
+    fitted envelope at the readout's first sample exceeds full scale plus
+    the floor, 1 + 3 sigma; a noiseless readout that keeps fewer than two
+    (amplitude 0) takes the exact analytic value instead.
     """
     amplitudes = np.asarray(amplitudes, dtype=float)
     if np.any(amplitudes < 0.0) or np.any(amplitudes > 1.0 + 1e-9):
@@ -250,7 +251,10 @@ def ringdown_readouts(
         # readouts normalize a whole trace. min() keeps an overflowing
         # extrapolation finite instead of raising OverflowError.
         fitted = np.array([math.exp(min(v, 709.0)) for v in intercept.tolist()])
-    fitted[denom == 0.0] = np.nan
+        # Inputs are at most 1, so a fit above full scale plus the floor at
+        # its own first sample models noise (a late pair, say), not decay.
+        over = intercept + slope * start_time > math.log1p(NOISE_FLOOR_SIGMAS * sigma) + 1e-9
+    fitted[(denom == 0.0) | over] = np.nan
     short = n_used < 2
     if sigma == 0.0:
         # Exact noiseless model: the fit is analytic (covers amplitude 0).

@@ -464,6 +464,23 @@ def test_sense_writes_report_and_telegraph_trace(tmp_path):
     assert levels <= {-1720.0, 1720.0}
 
 
+def test_sense_loses_a_readout_fitted_to_a_late_noise_pair(tmp_path):
+    # In this charge-step op one shot of a near-zero grid point kept only a
+    # late pair of noise samples and extrapolated to 444 times full scale,
+    # which moved the refined shift to 5115 Hz against the true 3440 Hz.
+    raw = json.loads(ia.bundled_path("charge_step.json").read_text())
+    raw["seed"] = 4218031697
+    raw["run"].update(prior_hz=41300.0, max_iterations=2)
+    raw["perturbation"]["n_runs"] = 2
+    raw["telegraph"].update(rate_hz=0.18644877314347963, enabled=True)
+    scenario = tmp_path / "late_pair.json"
+    scenario.write_text(json.dumps(raw))
+    assert main(["sense", str(scenario), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert abs(report["shift_hz"] - report["true_shift_hz"]) <= report["bin_width_hz"]
+    assert not any("misses true" in flag for flag in report["flags"])
+
+
 def test_show_pulse_file_sets_by_ramp_kind(tmp_path):
     soft = write_scenario(tmp_path, name="soft", sequence={"ramp_kind": "soft"})
     out_soft = tmp_path / "soft_out"

@@ -463,6 +463,19 @@ def test_ringdown_raises_when_signal_is_buried():
         ia.simulate_ringdown(0.001, params, rng=np.random.default_rng(0))
 
 
+def test_a_late_pair_above_the_floor_is_a_lost_readout():
+    # Only samples 34 and 35 of the first row clear the 3-sigma floor; their
+    # fit climbs back to hundreds of times full scale at the readout start.
+    params = ia.SystemParams(omega0_true=OMEGA0, delta0=20 * OMEGA0, gamma=150.0,
+                             noise_std=0.025)
+    noise = np.zeros((2, 50))
+    noise[0] = -1.0
+    noise[0, 34:36] = (4.0, 3.1)
+    values = ia.ringdown_readouts([0.017, 0.5], params, noise=noise, start_time=1e-4)
+    assert math.isnan(values[0])
+    assert values[1] == pytest.approx(0.5 * math.exp(150.0 * 1e-4), rel=1e-9)
+
+
 def test_ringdown_input_validation():
     params = ia.SystemParams(omega0_true=OMEGA0, delta0=20 * OMEGA0, gamma=500.0)
     with pytest.raises(ia.DomainError):

@@ -188,7 +188,10 @@ def reference_ringdown(amplitude, params, duration, rng, start_time, n_samples):
     if denom == 0.0:
         return math.nan
     slope = float(np.sum((t_fit - t_mean) * (y_fit - y_mean))) / denom
-    return math.exp(y_mean - slope * t_mean)
+    intercept = y_mean - slope * t_mean
+    if intercept + slope * start_time > math.log1p(3.0 * sigma) + 1e-9:
+        return math.nan  # above full scale at the first sample: a fit to noise
+    return math.exp(intercept)
 
 
 def reference_measure_points(config, t_w_values, seed):
