@@ -331,15 +331,21 @@ def filter_signal(values, sample_period: float, filt: FilterModel) -> np.ndarray
 
     The filter starts in steady state with the first sample, so a constant
     input maps to gain*input exactly from sample 0. Linear by construction.
+    The loop is the transposed direct-form recursion of the IIR filter
+    b = [alpha*g], a = [1, alpha - 1] in plain floats; the tests hold it
+    bit for bit to a library IIR routine run on the same coefficients.
     """
-    from scipy.signal import lfilter
-
     x = np.asarray(values, dtype=float)
     alpha = 1.0 - math.exp(-TWO_PI * filt.corner_hz * sample_period)
     g = filt.passband_gain
-    zi = np.array([(1.0 - alpha) * g * x[0]])
-    y, _ = lfilter([alpha * g], [1.0, -(1.0 - alpha)], x, zi=zi)
-    return y
+    b0, pole = alpha * g, 1.0 - alpha
+    z = pole * g * x[0]
+    y = []
+    for v in x.tolist():
+        out = b0 * v + z
+        z = pole * out
+        y.append(out)
+    return np.array(y)
 
 
 def apply_bandwidth_filter(

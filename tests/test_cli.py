@@ -580,6 +580,18 @@ def test_correction_searches_leave_scipy_optimize_unloaded(tmp_path):
     assert loaded == ["False", "False"]
 
 
+def test_filtered_waveforms_load_no_scipy(tmp_path):
+    # The bandwidth filter runs its own recursion; only fit-spectrum needs scipy.
+    argv = ["show-pulse", str(ia.bundled_path("ramp_comparison.json")),
+            "--out", str(tmp_path / "out")]
+    probe = ("import contextlib, io, sys; from iaspec.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    assert main({argv!r}) == 0\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert run_probe(probe) == "[]"
+    assert (tmp_path / "out" / "pulse_corrected_filtered.csv").exists()
+
+
 def test_bundled_scenarios_all_load():
     names = ia.bundled_scenario_names()
     assert {

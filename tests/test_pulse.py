@@ -248,6 +248,25 @@ def test_filter_constant_reaches_dc_gain():
     assert np.max(np.abs(out - 0.7 * filt.passband_gain)) == 0.0
 
 
+@given(
+    values=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=300),
+    sample_period=st.floats(1e-9, 1e-5),
+    corner_hz=st.floats(1e3, 1e7),
+    gain_db=st.floats(-20.0, 3.0),
+)
+def test_filter_signal_replays_lfilter_bit_for_bit(values, sample_period, corner_hz, gain_db):
+    from scipy.signal import lfilter
+
+    x = np.array(values)
+    filt = ia.FilterModel(passband_gain_db=gain_db, corner_hz=corner_hz)
+    alpha = 1.0 - math.exp(-TWO_PI * corner_hz * sample_period)
+    g = filt.passband_gain
+    zi = np.array([(1.0 - alpha) * g * x[0]])
+    expected, _ = lfilter([alpha * g], [1.0, -(1.0 - alpha)], x, zi=zi)
+    got = ia.filter_signal(x, sample_period, filt)
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 def test_filter_rejects_nonpositive_corner():
     with pytest.raises(ia.ConfigurationError, match="corner frequency"):
         ia.FilterModel(passband_gain_db=-0.4, corner_hz=0.0)
