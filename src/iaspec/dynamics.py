@@ -253,7 +253,8 @@ def ringdown_readouts(
         fitted = np.array([math.exp(min(v, 709.0)) for v in intercept.tolist()])
         # Inputs are at most 1, so a fit above full scale plus the floor at
         # its own first sample models noise (a late pair, say), not decay.
-        over = intercept + slope * start_time > math.log1p(NOISE_FLOOR_SIGMAS * sigma) + 1e-9
+        # The 2e-9 slack covers the 1e-9 input tolerance and the fit's rounding.
+        over = intercept + slope * start_time > math.log1p(NOISE_FLOOR_SIGMAS * sigma) + 2e-9
     fitted[(denom == 0.0) | over] = np.nan
     short = n_used < 2
     if sigma == 0.0:

@@ -476,6 +476,16 @@ def test_a_late_pair_above_the_floor_is_a_lost_readout():
     assert values[1] == pytest.approx(0.5 * math.exp(150.0 * 1e-4), rel=1e-9)
 
 
+def test_readouts_at_the_top_of_the_input_range_stay_readable():
+    # Amplitudes up to 1 + 1e-9 pass validation, so rounding in the fit must
+    # not push them over the full-scale rule.
+    params = ia.SystemParams(omega0_true=OMEGA0, delta0=20 * OMEGA0, gamma=150.0)
+    amplitudes = np.array([1.0, 1.0 + 1e-9])
+    for start in np.linspace(0.0, 4e-3, 50):
+        values = ia.ringdown_readouts(amplitudes, params, start_time=start)
+        np.testing.assert_allclose(values, amplitudes * math.exp(150.0 * start), rtol=1e-9)
+
+
 def test_ringdown_input_validation():
     params = ia.SystemParams(omega0_true=OMEGA0, delta0=20 * OMEGA0, gamma=500.0)
     with pytest.raises(ia.DomainError):

@@ -189,7 +189,7 @@ def reference_ringdown(amplitude, params, duration, rng, start_time, n_samples):
         return math.nan
     slope = float(np.sum((t_fit - t_mean) * (y_fit - y_mean))) / denom
     intercept = y_mean - slope * t_mean
-    if intercept + slope * start_time > math.log1p(3.0 * sigma) + 1e-9:
+    if intercept + slope * start_time > math.log1p(3.0 * sigma) + 2e-9:
         return math.nan  # above full scale at the first sample: a fit to noise
     return math.exp(intercept)
 
