@@ -335,13 +335,13 @@ def filter_signal(values, sample_period: float, filt: FilterModel) -> np.ndarray
     b = [alpha*g], a = [1, alpha - 1] in plain floats; the tests hold it
     bit for bit to a library IIR routine run on the same coefficients.
     """
-    x = np.asarray(values, dtype=float)
+    x = np.asarray(values, dtype=float).tolist()
     alpha = 1.0 - math.exp(-TWO_PI * filt.corner_hz * sample_period)
     g = filt.passband_gain
     b0, pole = alpha * g, 1.0 - alpha
     z = pole * g * x[0]
     y = []
-    for v in x.tolist():
+    for v in x:
         out = b0 * v + z
         z = pole * out
         y.append(out)
